@@ -60,7 +60,8 @@ def tracking_threshold(graph: DynamicGraph, u: Vertex, v: Vertex, params: StrClu
 
     Under cosine similarity the closed neighbourhood sizes ``d[x] + 1`` are
     used for the balance test and the thresholds, consistently with the
-    similarity definition used in this library (see DESIGN.md).
+    similarity definition used in this library (see
+    :func:`repro.graph.similarity.cosine_similarity`).
     """
     du = graph.degree(u)
     dv = graph.degree(v)

@@ -39,9 +39,10 @@ class StrCluParams:
     similarity: SimilarityKind = SimilarityKind.JACCARD
     seed: int = 0
     #: optional cap on the per-invocation sample size of the estimator; the
-    #: theoretical L_i grows with ln(i), which on small synthetic graphs can
-    #: exceed the neighbourhood sizes — capping trades a little probability
-    #: budget for speed and is recorded in DESIGN.md.
+    #: theoretical L_i grows with ln(i) — capping trades a little probability
+    #: budget for speed.  The hybrid oracle computes σ exactly on every edge
+    #: with a small enough endpoint, so the cap only binds on edges between
+    #: two hubs (see the :mod:`repro.core.estimator` docstring).
     max_samples: Optional[int] = 2048
 
     def __post_init__(self) -> None:

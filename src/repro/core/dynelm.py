@@ -6,14 +6,16 @@ under edge insertions and deletions.  The machinery, following the paper:
 * labels are produced by the (½ρε, δ_i)-strategy
   (:class:`~repro.core.labelling.LabellingStrategy`) backed by the sampling
   estimator, so one labelling costs poly-log work instead of a
-  neighbourhood scan;
+  neighbourhood scan (the estimator computes σ exactly when that scan is
+  the cheaper of the two);
 * every labelled edge can absorb ``τ(u, v) − 1`` affecting updates before
   its label can possibly become invalid
   (:mod:`~repro.core.affordability`), so a DT instance with threshold
   ``τ(u, v)`` tracks its affecting updates;
 * the DT instances of all edges incident on a vertex share one counter and
   are organised in a ``DtHeap`` (:class:`~repro.dt.tracker.UpdateTracker`),
-  so an update only touches the edges whose DT actually signals.
+  so an update only touches the edges whose DT actually signals (edges
+  with ``τ = 1`` skip the heap and mature straight off the counter).
 
 Handling an update ``(u, w)`` follows the five steps of Section 6 and
 returns the set ``F`` of edges whose label flipped, which DynStrClu consumes

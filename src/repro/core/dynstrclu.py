@@ -250,15 +250,18 @@ class DynStrClu:
     def group_by(self, query: Iterable[Vertex]) -> GroupByResult:
         """Cluster-group-by query (Definition 3.2) in O(|Q| log n) time."""
         groups: Dict[int, Set[Vertex]] = {}
+        cores = self.cores
+        sim_core_neighbours = self.aux.sim_core_neighbours
+        component_id = self.cc.component_id
+        count = 0
         for u in query:
-            self.counter.add("groupby_vertex")
-            if u in self.cores:
-                cc_id = self.cc.component_id(u)
-                groups.setdefault(cc_id, set()).add(u)
+            count += 1
+            if u in cores:
+                groups.setdefault(component_id(u), set()).add(u)
                 continue
-            for v in self.aux.sim_core_neighbours(u):
-                cc_id = self.cc.component_id(v)
-                groups.setdefault(cc_id, set()).add(u)
+            for v in sim_core_neighbours(u):
+                groups.setdefault(component_id(v), set()).add(u)
+        self.counter.add("groupby_vertex", count)
         return GroupByResult(groups=groups)
 
     def clustering(self) -> Clustering:
@@ -270,6 +273,7 @@ class DynStrClu:
         """
         cluster_index: Dict[int, int] = {}
         clusters: List[Set[Vertex]] = []
+        core_cluster: Dict[Vertex, int] = {}
         for core in self.cores:
             cc_id = self.cc.component_id(core)
             idx = cluster_index.get(cc_id)
@@ -278,10 +282,10 @@ class DynStrClu:
                 cluster_index[cc_id] = idx
                 clusters.append(set())
             clusters[idx].add(core)
+            core_cluster[core] = idx
 
         assignments: Dict[Vertex, Set[int]] = {}
-        for core in self.cores:
-            idx = cluster_index[self.cc.component_id(core)]
+        for core, idx in core_cluster.items():
             for v in self.aux.similar_neighbours(core):
                 clusters[idx].add(v)
                 assignments.setdefault(v, set()).add(idx)

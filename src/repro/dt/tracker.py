@@ -13,6 +13,18 @@ the *checkpoint-ready* heap entries (key equal to ``s_u``), so the work per
 update is proportional to the number of DT signals actually due — the whole
 point of the paper's poly-logarithmic amortized bound.
 
+**The τ = 1 path.**  An edge tracked with threshold 1 matures on the very
+next affecting update at either endpoint, so a heap entry and a DT round
+buy it nothing.  Such edges stay out of the heaps: each endpoint ``x``
+keeps, per τ = 1 edge, the value of ``s_x`` when the edge was tracked, and
+the edge matures at ``x`` once ``s_x`` has passed that stamp — exactly the
+update at which the heap path (key ``s_x + 1``) would have signalled.  Each
+such maturity counts one ``dt_signal`` and no ``heap_op``.  Every stamp
+below ``s_x`` is due, so scanning ``x``'s stamps costs the maturities plus
+the edges tracked since ``x``'s last increment.  In exact mode (ρ = 0) every
+edge has τ = 1; under Jaccard so does every edge with
+``d_max < 2 / (ρε)``.
+
 Two trackers are provided:
 
 * :class:`UpdateTracker` — the heap-organised tracker used by DynELM.
@@ -84,6 +96,8 @@ class UpdateTracker:
         self._shared: Dict[Vertex, int] = {}
         self._heaps: Dict[Vertex, DtHeap[Edge]] = {}
         self._states: Dict[Edge, _EdgeDTState] = {}
+        #: the τ = 1 edges: per endpoint, each edge's shared counter at track time
+        self._stamps: Dict[Vertex, Dict[Edge, int]] = {}
         self._counter = counter if counter is not None else NULL_COUNTER
 
     # ------------------------------------------------------------------
@@ -97,16 +111,20 @@ class UpdateTracker:
 
     def is_tracked(self, u: Vertex, v: Vertex) -> bool:
         """Return True when a DT instance currently exists for edge ``(u, v)``."""
-        return self._key(u, v) in self._states
+        edge = self._key(u, v)
+        return edge in self._states or edge in self._stamps.get(u, ())
 
     def tracked_threshold(self, u: Vertex, v: Vertex) -> Optional[int]:
         """Return the initial threshold of the DT instance for ``(u, v)``, if any."""
-        state = self._states.get(self._key(u, v))
+        edge = self._key(u, v)
+        if edge in self._stamps.get(u, ()):
+            return 1
+        state = self._states.get(edge)
         return None if state is None else state.initial_tau
 
     def num_tracked(self) -> int:
         """Number of edges currently tracked."""
-        return len(self._states)
+        return len(self._states) + sum(map(len, self._stamps.values())) // 2
 
     def heap_size(self, u: Vertex) -> int:
         """Number of DtHeap entries at vertex ``u`` (testing/accounting aid)."""
@@ -118,6 +136,7 @@ class UpdateTracker:
         return {
             "dt_coordinator": len(self._states),
             "dt_heap_entry": sum(len(h) for h in self._heaps.values()),
+            "dt_stamp": sum(map(len, self._stamps.values())),
             "vertex_record": len(self._shared),
         }
 
@@ -132,8 +151,13 @@ class UpdateTracker:
         if tau < 1:
             raise ValueError(f"tau must be a positive integer, got {tau}")
         edge = self._key(u, v)
-        if edge in self._states:
+        if edge in self._states or edge in self._stamps.get(u, ()):
             raise ValueError(f"edge {edge!r} is already tracked")
+        if tau == 1:
+            shared = self._shared
+            for endpoint in (u, v):
+                self._stamps.setdefault(endpoint, {})[edge] = shared.setdefault(endpoint, 0)
+            return
         state = _EdgeDTState(edge, tau)
         self._states[edge] = state
         for endpoint in (u, v):
@@ -148,6 +172,10 @@ class UpdateTracker:
     def untrack(self, u: Vertex, v: Vertex) -> None:
         """Remove the DT instance for ``(u, v)`` (no-op if not tracked)."""
         edge = self._key(u, v)
+        stamps = self._stamps.get(u)
+        if stamps is not None and stamps.pop(edge, None) is not None:
+            del self._stamps[v][edge]
+            return
         state = self._states.pop(edge, None)
         if state is None:
             return
@@ -194,8 +222,16 @@ class UpdateTracker:
         new threshold) by the caller after re-labelling the edge.
         """
         s_u = self._shared.get(u, 0)
-        heap = self._heaps.get(u)
         matured: List[Edge] = []
+        stamps = self._stamps.get(u)
+        if stamps:
+            matured = [edge for edge, stamp in stamps.items() if stamp < s_u]
+            if matured:
+                for a, b in matured:
+                    del self._stamps[a][a, b]
+                    del self._stamps[b][a, b]
+                self._counter.add("dt_signal", len(matured))
+        heap = self._heaps.get(u)
         if heap is None:
             return matured
         while True:

@@ -15,10 +15,12 @@ consecutive integers (the paper relabels vertices to ``1..n``).
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
+
+_NO_NEIGHBOURS: FrozenSet[Vertex] = frozenset()
 
 
 def canonical_edge(u: Vertex, v: Vertex) -> Edge:
@@ -221,19 +223,21 @@ class DynamicGraph:
     def common_closed_neighbours(self, u: Vertex, v: Vertex) -> int:
         """Return ``|N[u] ∩ N[v]|`` for adjacent or non-adjacent ``u, v``.
 
-        Iterates over the smaller closed neighbourhood, so the cost is
-        ``O(min(d[u], d[v]))`` set probes.
+        Intersects the live open neighbour sets without copying them, so the
+        cost is ``O(min(d[u], d[v]))`` set probes.  The closed sets add
+        ``u`` and ``v`` themselves, which are common exactly when the two
+        are adjacent.
         """
-        nu = self.closed_neighbourhood(u)
-        nv = self.closed_neighbourhood(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        return sum(1 for w in nu if w in nv)
+        nu = self._adj.get(u, _NO_NEIGHBOURS)
+        if u == v:
+            return len(nu) + 1
+        nv = self._adj.get(v, _NO_NEIGHBOURS)
+        common = len(nu & nv)
+        return common + 2 if v in nu else common
 
     def union_closed_neighbours(self, u: Vertex, v: Vertex) -> int:
         """Return ``|N[u] ∪ N[v]|`` via inclusion–exclusion."""
-        a = self.common_closed_neighbours(u, v)
-        return len(self.closed_neighbourhood(u)) + len(self.closed_neighbourhood(v)) - a
+        return self.degree(u) + self.degree(v) + 2 - self.common_closed_neighbours(u, v)
 
     def copy(self) -> "DynamicGraph":
         """Return a deep copy of the graph."""

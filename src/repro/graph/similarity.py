@@ -40,8 +40,7 @@ def intersection_union_sizes(graph: DynamicGraph, u: Vertex, v: Vertex) -> Tuple
     convention).
     """
     a = graph.common_closed_neighbours(u, v)
-    b = len(graph.closed_neighbourhood(u)) + len(graph.closed_neighbourhood(v)) - a
-    return a, b
+    return a, graph.degree(u) + graph.degree(v) + 2 - a
 
 
 def jaccard_similarity(graph: DynamicGraph, u: Vertex, v: Vertex) -> float:
@@ -66,8 +65,8 @@ def cosine_similarity(graph: DynamicGraph, u: Vertex, v: Vertex) -> float:
     both ``ε ∈ (0, 1]`` and the original SCAN definition it cites (Xu et al.,
     2007, which normalises by the closed neighbourhood sizes).  We follow the
     SCAN definition — ``|N[u] ∩ N[v]| / sqrt(|N[u]| · |N[v]|)`` — so the
-    similarity is always in ``[0, 1]``; the deviation is recorded in
-    DESIGN.md and every other cosine formula in this library (estimator,
+    similarity is always in ``[0, 1]``.  This docstring is the record of
+    the deviation; every other cosine formula in this library (estimator,
     affordability thresholds) consistently uses the closed sizes.
     """
     if not graph.has_edge(u, v):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core.estimator import (
+    EXACT_COST_RATIO,
     ExactSimilarityOracle,
     SamplingSimilarityOracle,
     hoeffding_sample_size,
@@ -75,7 +76,7 @@ class TestSamplingOracleJaccard:
     def test_counts_samples(self, dense_graph):
         counter = OpCounter()
         oracle = SamplingSimilarityOracle(dense_graph, rng=random.Random(0), counter=counter)
-        oracle.similarity(0, 1, num_samples=77)
+        oracle.estimate(0, 1, num_samples=77)
         assert counter.get("sample") == 77
         assert counter.get("similarity_eval") == 1
 
@@ -88,7 +89,7 @@ class TestSamplingOracleJaccard:
             total = 0.0
             for u, v in edges:
                 total += abs(
-                    oracle.similarity(u, v, num_samples=samples)
+                    oracle.estimate(u, v, num_samples=samples)
                     - jaccard_similarity(dense_graph, u, v)
                 )
             return total / len(edges)
@@ -96,6 +97,50 @@ class TestSamplingOracleJaccard:
         small = mean_error(16, seed=3)
         large = mean_error(2048, seed=3)
         assert large < small
+
+
+class TestHybridRule:
+    @pytest.mark.parametrize(
+        "kind, exact",
+        [(SimilarityKind.JACCARD, jaccard_similarity), (SimilarityKind.COSINE, cosine_similarity)],
+    )
+    def test_exact_below_the_crossover(self, dense_graph, kind, exact):
+        counter = OpCounter()
+        oracle = SamplingSimilarityOracle(
+            dense_graph, kind=kind, epsilon=0.3, rng=random.Random(0), counter=counter
+        )
+        edges = list(dense_graph.edges())[:40]
+        for u, v in edges:
+            assert oracle.similarity(u, v, num_samples=4) == exact(dense_graph, u, v)
+        assert counter.get("sample") == 0
+        assert counter.get("neighbour_probe") > 0
+        assert counter.get("similarity_eval") == len(edges)
+
+    def test_samples_above_the_crossover(self):
+        # two adjacent hubs, each with more than EXACT_COST_RATIO * 2 closed
+        # neighbours, so two samples are cheaper than an intersection
+        hub_degree = 2 * EXACT_COST_RATIO + 5
+        edges = [(0, 1)]
+        edges += [(0, leaf) for leaf in range(2, 2 + hub_degree)]
+        edges += [(1, leaf) for leaf in range(2 + hub_degree // 2, 2 + 2 * hub_degree)]
+        graph = DynamicGraph(edges)
+        counter = OpCounter()
+        oracle = SamplingSimilarityOracle(graph, rng=random.Random(0), counter=counter)
+        oracle.similarity(0, 1, num_samples=2)
+        assert counter.get("sample") == 2
+        assert counter.get("neighbour_probe") == 0
+        # a larger sample budget makes the exact value the cheaper one
+        assert oracle.similarity(0, 1, num_samples=64) == jaccard_similarity(graph, 0, 1)
+        assert counter.get("sample") == 2
+
+    def test_cosine_short_circuit_runs_first(self):
+        graph = DynamicGraph([(0, i) for i in range(1, 21)])
+        counter = OpCounter()
+        oracle = SamplingSimilarityOracle(
+            graph, kind=SimilarityKind.COSINE, epsilon=0.9, rng=random.Random(0), counter=counter
+        )
+        assert oracle.similarity(0, 1, num_samples=10) == 0.0
+        assert counter.get("neighbour_probe") == 0
 
 
 class TestSamplingOracleCosine:

@@ -115,6 +115,44 @@ class TestSharedCounterSemantics:
         assert elements["dt_heap_entry"] == 4
 
 
+class TestUnitThresholdPath:
+    def test_unit_stream_does_no_heap_work(self):
+        counter = OpCounter()
+        tracker = UpdateTracker(counter)
+        rng = random.Random(0)
+        for v in range(1, 30):
+            tracker.track(0, v, 1)
+        for _ in range(500):
+            u = rng.randrange(30)
+            for a, b in tracker.register_update(u):
+                tracker.track(a, b, 1)
+        assert counter.get("heap_op") == 0
+        assert counter.get("dt_signal") > 0
+        assert tracker.num_tracked() == 29
+        assert tracker.heap_size(0) == 0
+
+    def test_unit_edges_are_tracked_with_threshold_one(self):
+        tracker = UpdateTracker()
+        tracker.track(2, 1, 1)
+        assert tracker.is_tracked(1, 2)
+        assert tracker.tracked_threshold(1, 2) == 1
+        with pytest.raises(ValueError):
+            tracker.track(1, 2, 1)
+        assert tracker.memory_elements()["dt_stamp"] == 2
+        tracker.untrack(1, 2)
+        assert not tracker.is_tracked(1, 2)
+        assert tracker.memory_elements()["dt_stamp"] == 0
+
+    def test_edge_tracked_within_an_update_waits_for_the_next(self):
+        """DynELM's order: an edge tracked between the increment and the
+        drain does not mature in that drain."""
+        tracker = UpdateTracker()
+        tracker.increment(1)
+        tracker.track(1, 2, 1)
+        assert tracker.process_ready(1) == []
+        assert tracker.register_update(2) == [(1, 2)]
+
+
 class TestEquivalenceWithNaiveTracker:
     @pytest.mark.parametrize("seed", range(6))
     def test_same_maturities_as_naive(self, seed):

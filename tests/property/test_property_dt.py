@@ -64,3 +64,42 @@ class TestTrackerEquivalenceProperty:
                     naive.register_update(a)
                 )
         assert heap_tracker.num_tracked() == naive.num_tracked()
+
+
+# DynELM-shaped steps: an update at a vertex, plus edges first tracked during
+# it (between its increment and its drain); thresholds are mostly 1
+mostly_unit_tau = st.one_of(st.just(1), st.just(1), st.just(1), st.integers(2, 30))
+steps = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), mostly_unit_tau), max_size=3),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=1),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+class TestTrackerEquivalenceDynELMOrder:
+    @given(steps)
+    @settings(max_examples=80, deadline=None)
+    def test_increment_track_drain_equals_naive(self, updates):
+        """With DynELM's order — increment, then track, then drain — the
+        heap tracker (τ = 1 edges outside the heaps) reports the same
+        maturities as the straw man, which counts the update before the new
+        edges exist."""
+        heap_tracker = UpdateTracker()
+        naive = NaiveTracker()
+        for vertex, new_edges, removed in updates:
+            for a, b in removed:
+                heap_tracker.untrack(a, b)
+                naive.untrack(a, b)
+            heap_tracker.increment(vertex)
+            expected = sorted(naive.register_update(vertex))
+            for a, b, tau in new_edges:
+                if a == b or heap_tracker.is_tracked(a, b):
+                    continue
+                heap_tracker.track(a, b, tau)
+                naive.track(a, b, tau)
+            assert sorted(heap_tracker.process_ready(vertex)) == expected
+        assert heap_tracker.num_tracked() == naive.num_tracked()
