@@ -52,7 +52,7 @@ def run_service_benchmark(
 ) -> Dict[str, object]:
     """Ingest a full stream at maximum speed with concurrent readers."""
     stream, vertex_pool = _build_stream(num_updates=num_updates)
-    config = EngineConfig(batch_size=128, flush_interval=0.01, queue_capacity=len(stream))
+    config = EngineConfig(batch_size=128, queue_capacity=len(stream))
     engine = ClusteringEngine(PARAMS, config=config)
     reader_metrics = ServiceMetrics()
     done = threading.Event()
@@ -98,7 +98,6 @@ def run_service_benchmark(
         "config": {
             "num_updates": len(stream),
             "batch_size": config.batch_size,
-            "flush_interval": config.flush_interval,
             "queue_capacity": config.queue_capacity,
             "ingest_batch": 64,
             "readers": readers,

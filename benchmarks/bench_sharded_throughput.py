@@ -75,7 +75,6 @@ def run_sharding_benchmark(
         for _round in range(max(1, rounds)):
             config = EngineConfig(
                 batch_size=128,
-                flush_interval=0.01,
                 queue_capacity=len(stream) + 16,
                 shards=shards,
             )

@@ -32,7 +32,7 @@ from repro.graph.generators import planted_partition_graph
 
 def main() -> None:
     params = StrCluParams(epsilon=0.4, mu=3, rho=0.05, delta_star=0.01, seed=7)
-    config = EngineConfig(batch_size=32, flush_interval=0.02, checkpoint_every=100)
+    config = EngineConfig(batch_size=32, checkpoint_every=100)
     edges = planted_partition_graph(2, 12, p_intra=0.7, p_inter=0.05, seed=1)
     updates = [Update.insert(u, v) for u, v in edges]
 

@@ -93,8 +93,6 @@ class SubprocessServer:
             str(spec.rho),
             "--batch-size",
             "64",
-            "--flush-interval",
-            "0.01",
             "--queue-capacity",
             str(spec.queue_capacity),
         ]
@@ -136,7 +134,6 @@ class InProcessServer:
             params,
             default_engine_config=EngineConfig(
                 batch_size=64,
-                flush_interval=0.01,
                 queue_capacity=spec.queue_capacity,
             ),
             data_root=data_root,

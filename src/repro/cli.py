@@ -201,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="server-wide cap on concurrently hosted tenants",
     )
     serve.add_argument("--batch-size", type=int, default=64)
-    serve.add_argument("--flush-interval", type=float, default=0.05)
     serve.add_argument("--queue-capacity", type=int, default=4096)
     serve.add_argument(
         "--checkpoint-every",
@@ -573,7 +572,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         config = EngineConfig(
             batch_size=args.batch_size,
-            flush_interval=args.flush_interval,
             queue_capacity=args.queue_capacity,
             checkpoint_every=args.checkpoint_every,
             shards=args.shards,

@@ -11,9 +11,10 @@ concurrent service component:
 * **Micro-batching with backpressure.**  Producers enqueue updates into a
   bounded queue (:meth:`submit`); when the queue is full the producer either
   blocks or gets :class:`EngineBackpressure` — the open-loop load shedding
-  signal.  The writer drains the queue into batches of at most
-  ``batch_size`` updates, or whatever arrived within ``flush_interval``
-  seconds, whichever closes the batch first.
+  signal.  The writer batches like database group commit: it blocks for
+  one update, then takes whatever piled up while it was busy applying the
+  previous batch, up to ``batch_size``.  No timer holds a batch open, so
+  the ``queue_wait`` stage is pure backlog.
 * **Snapshot-isolated reads.**  After each batch the writer captures an
   immutable :class:`~repro.service.views.ClusteringView` and publishes it
   with a single attribute store.  Readers never touch the maintainer and
@@ -122,8 +123,8 @@ class EngineBackpressure(EngineError):
     Carries the load-shedding context a client needs to retry sensibly:
     ``queue_depth`` / ``queue_capacity`` describe how far behind the writer
     is, ``retry_after_ms`` is the engine's estimate of when a slot frees up
-    (the time the writer needs to drain the backlog at one batch per flush
-    interval).  The HTTP layer forwards all three in its 429 body and the
+    (the time the writer needs to drain the backlog at its measured apply
+    rate).  The HTTP layer forwards all three in its 429 body and the
     ``Retry-After`` header.
     """
 
@@ -182,15 +183,15 @@ class _Stop:
     __slots__ = ()
 
 
-def retry_hint_ms(queue_depth: int, config: "EngineConfig") -> int:
+def retry_hint_ms(queue_depth: int, seconds_per_update: float) -> int:
     """Backpressure retry suggestion shared by both engine shapes.
 
-    The writer drains roughly one batch per flush interval, so the time
-    until a backlog clears is ``depth / batch_size`` intervals; the
-    suggestion is clamped to [1 ms, 30 s].
+    The backlog clears in ``depth`` times the writer's measured seconds per
+    applied update; before the first batch the clamp's 1 ms floor stands in
+    for that cost.  The suggestion is clamped to [1 ms, 30 s].
     """
-    intervals = max(1.0, queue_depth / config.batch_size)
-    hint = int(1000.0 * config.flush_interval * intervals)
+    per_update_ms = 1000.0 * seconds_per_update if seconds_per_update > 0 else 1.0
+    hint = int(queue_depth * per_update_ms)
     return max(1, min(hint, 30_000))
 
 
@@ -245,13 +246,12 @@ def await_flush_marker(
 class EngineConfig:
     """Tuning knobs of the ingest pipeline.
 
+    Batching is group commit, so it needs no timer (see ``_next_batch``).
+
     Attributes
     ----------
     batch_size:
         Maximum updates applied per micro-batch (and per view publication).
-    flush_interval:
-        Seconds the writer waits for more updates before closing a partial
-        batch.  Bounds staleness of the published view under light load.
     queue_capacity:
         Bound of the ingest queue; the backpressure horizon.
     checkpoint_every:
@@ -295,7 +295,6 @@ class EngineConfig:
     """
 
     batch_size: int = 64
-    flush_interval: float = 0.05
     queue_capacity: int = 4096
     checkpoint_every: int = 0
     fsync_each_batch: bool = False
@@ -308,8 +307,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.flush_interval <= 0.0:
-            raise ValueError("flush_interval must be positive")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.checkpoint_every < 0:
@@ -662,19 +659,15 @@ class ClusteringEngine:
         }
 
     def backpressure_signal(self) -> EngineBackpressure:
-        """Build the load-shedding signal with retry guidance attached.
-
-        The writer drains roughly one batch per flush interval, so the
-        time until the backlog clears is ``depth / batch_size`` intervals;
-        the suggestion is clamped to [1 ms, 30 s].
-        """
+        """Build the load-shedding signal with retry guidance attached
+        (see :func:`retry_hint_ms`)."""
         depth = self.queue_depth
         config = self.config
         return EngineBackpressure(
             f"ingest queue full ({config.queue_capacity} updates)",
             queue_depth=depth,
             queue_capacity=config.queue_capacity,
-            retry_after_ms=retry_hint_ms(depth, config),
+            retry_after_ms=retry_hint_ms(depth, self.metrics.seconds_per_update()),
         )
 
     # ------------------------------------------------------------------
@@ -696,45 +689,38 @@ class ClusteringEngine:
                 marker.event.set()
 
     def _next_batch(self) -> Tuple[List[Update], List[_Flush], bool]:
-        """Collect one micro-batch: up to batch_size updates or one interval."""
-        config = self.config
+        """Collect one group-commit batch without reading a clock: block for
+        the first item, then take what is already queued, closing the batch
+        at ``batch_size`` updates, at a flush marker or on an empty queue."""
+        batch_size = self.config.batch_size
         batch: List[Update] = []
         flushes: List[_Flush] = []
-        deadline: Optional[float] = None
-        while len(batch) < config.batch_size:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if deadline is not None and remaining is not None and remaining <= 0:
-                break
-            try:
-                item = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
+        stop = False
+        item = self._queue.get()
+        while True:
             if isinstance(item, _Stop):
                 # drain the close/submit race window: a submit that passed
                 # the _closed check just before close() latched it may have
                 # enqueued behind the stop marker — an accepted update (or
-                # a waiting flush marker) must be honoured, not silently
-                # dropped with the writer's exit
-                while True:
-                    try:
-                        tail = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if isinstance(tail, _Flush):
-                        flushes.append(tail)
-                    elif not isinstance(tail, _Stop):
-                        batch.append(tail)
-                return batch, flushes, True
-            if isinstance(item, _Flush):
+                # flush marker) must be honoured, not dropped with the
+                # writer's exit, so now only the empty queue ends the batch
+                stop = True
+            elif isinstance(item, _Flush):
                 # everything submitted before the marker is already in
                 # `batch` (FIFO queue); close the batch so the caller's
                 # wait covers exactly its prefix
                 flushes.append(item)
+                if not stop:
+                    break
+            else:
+                batch.append(item)
+                if len(batch) >= batch_size and not stop:
+                    break
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
                 break
-            batch.append(item)
-            if deadline is None:
-                deadline = time.monotonic() + config.flush_interval
-        return batch, flushes, False
+        return batch, flushes, stop
 
     #: Span name of one traced update application; the sharded composition
     #: overrides this so router/shard hops are distinguishable in a trace.

@@ -303,6 +303,11 @@ class ServiceMetrics:
             return 0.0
         return self.get("updates_applied") / elapsed
 
+    def seconds_per_update(self) -> float:
+        """Measured writer cost: ingest seconds per applied update (0 before any)."""
+        applied = self.get("updates_applied")
+        return self.ingest.bucket_snapshot()[3] / applied if applied else 0.0
+
     def snapshot(self) -> Dict[str, object]:
         """One JSON-serialisable document with every metric."""
         with self._lock:

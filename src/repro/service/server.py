@@ -248,6 +248,8 @@ class ClusteringServiceServer:
         self.host = host
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        # connections parked between requests → handler task (loop thread)
+        self._idle: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
 
     @property
     def engine(self) -> ClusteringEngine:
@@ -275,6 +277,12 @@ class ClusteringServiceServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            # EOF ends an idle keep-alive handler parked in readline; one
+            # cancelled at loop shutdown is logged by asyncio as an ERROR
+            for writer in self._idle:
+                writer.close()
+            if self._idle:
+                await asyncio.wait(list(self._idle.values()))
             await self._server.wait_closed()
             self._server = None
 
@@ -292,6 +300,7 @@ class ClusteringServiceServer:
     ) -> None:
         try:
             while True:
+                self._idle[writer] = asyncio.current_task()
                 try:
                     request = await _read_request(reader)
                 except _ProtocolError as exc:
@@ -305,6 +314,7 @@ class ClusteringServiceServer:
                     break
                 if request is None:
                     break
+                del self._idle[writer]
                 method, path, query, headers, body = request
                 supplied = _valid_trace_id(headers.get("x-repro-trace"))
                 # a client-supplied id marks the request *sampled*: its
@@ -357,13 +367,12 @@ class ClusteringServiceServer:
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             pass
         finally:
+            self._idle.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
-                # CancelledError lands here when the loop shuts down while a
-                # keep-alive connection is parked in readline; the writer is
-                # already closed, so ending the handler quietly is correct
+                # shutdown cancelled a handler mid-request; already closed
                 pass
 
     # ------------------------------------------------------------------

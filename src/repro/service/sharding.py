@@ -1034,11 +1034,13 @@ class ShardedEngine:
 
     def backpressure_signal(self) -> EngineBackpressure:
         """Merged load-shedding signal: ``retry_after_ms`` is the **max**
-        over the per-shard signals (and the router's own horizon) — the
-        slowest shard gates when the pipeline can absorb a retry."""
+        over the per-shard signals (and the router's own horizon, drained
+        at the slowest shard's rate) — the slowest shard gates when the
+        pipeline can absorb a retry."""
         shard_signals = [shard.backpressure_signal() for shard in self.shards]
         config = self.config
-        own_ms = retry_hint_ms(self._queue.qsize(), config)
+        slowest = max(shard.metrics.seconds_per_update() for shard in self.shards)
+        own_ms = retry_hint_ms(self._queue.qsize(), slowest)
         retry_after_ms = max([own_ms] + [s.retry_after_ms for s in shard_signals])
         return EngineBackpressure(
             f"sharded ingest queue full ({config.queue_capacity} updates)",

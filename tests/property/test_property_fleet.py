@@ -28,7 +28,7 @@ from repro.service import (
 )
 
 EXACT_PARAMS = StrCluParams(epsilon=0.5, mu=2, rho=0.0)
-FAST = EngineConfig(batch_size=8, flush_interval=0.005)
+FAST = EngineConfig(batch_size=8)
 
 
 @st.composite
@@ -95,7 +95,7 @@ def _drive_chain(stream, batch, shards):
         manager = EngineManager(
             EXACT_PARAMS,
             default_engine_config=EngineConfig(
-                batch_size=8, flush_interval=0.005, shards=shards
+                batch_size=8, shards=shards
             ),
             data_root=tmp_path / "primary",
             create_default=False,

@@ -105,7 +105,7 @@ def test_patched_view_equals_full_capture_every_batch(stream, batch_size):
 @settings(max_examples=8, deadline=None)
 @given(stream=update_streams(), batch_size=st.integers(min_value=1, max_value=7))
 def test_engine_view_equals_full_capture(backend, stream, batch_size):
-    config = EngineConfig(batch_size=batch_size, flush_interval=0.001)
+    config = EngineConfig(batch_size=batch_size)
     with ClusteringEngine(PARAMS, config=config, backend=backend) as engine:
         for update in stream:
             engine.submit(update)

@@ -40,7 +40,7 @@ APPROX_PARAMS = StrCluParams(
 )
 BAND_SLACK = math.sqrt(math.log(2.0 / 1e-5) / (2.0 * 4096)) + 0.01
 
-FAST = EngineConfig(batch_size=8, flush_interval=0.005)
+FAST = EngineConfig(batch_size=8)
 
 
 @st.composite

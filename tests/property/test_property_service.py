@@ -51,7 +51,7 @@ def test_micro_batched_engine_equals_sequential_dynstrclu(stream, batch_size):
     for update in stream:
         sequential.apply(update)
 
-    config = EngineConfig(batch_size=batch_size, flush_interval=0.001)
+    config = EngineConfig(batch_size=batch_size)
     with ClusteringEngine(PARAMS, config=config) as engine:
         for update in stream:
             engine.submit(update)

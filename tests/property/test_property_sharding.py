@@ -66,7 +66,7 @@ def update_streams(draw):
 
 def run_sharded(stream, shards, backend, params):
     """Drive a sharded engine over ``stream``; returns the quiescent view."""
-    config = EngineConfig(shards=shards, batch_size=16, flush_interval=0.005)
+    config = EngineConfig(shards=shards, batch_size=16)
     with ShardedEngine(params, config=config, backend=backend) as engine:
         for update in stream:
             engine.submit(update)

@@ -75,7 +75,6 @@ def test_as_of_equals_truncated_replay_single_shard(stream, checkpoint_every):
     try:
         config = EngineConfig(
             batch_size=4,
-            flush_interval=0.01,
             checkpoint_every=checkpoint_every,
             wal_retain_segments=99,  # retention is not under test here
         )
@@ -111,7 +110,6 @@ def test_as_of_equals_truncated_replay_four_shards(stream, checkpoint_every, chu
     try:
         config = EngineConfig(
             batch_size=4,
-            flush_interval=0.01,
             checkpoint_every=checkpoint_every,
             wal_retain_segments=99,
             shards=4,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.config import StrCluParams
@@ -14,6 +16,8 @@ from repro.service.engine import (
     EngineBackpressure,
     EngineClosed,
     EngineConfig,
+    _Flush,
+    _Stop,
 )
 from repro.workloads.updates import generate_update_sequence
 
@@ -47,8 +51,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(batch_size=0)
         with pytest.raises(ValueError):
-            EngineConfig(flush_interval=0.0)
-        with pytest.raises(ValueError):
             EngineConfig(queue_capacity=0)
         with pytest.raises(ValueError):
             EngineConfig(checkpoint_every=-1)
@@ -61,7 +63,7 @@ class TestConfig:
 class TestIngest:
     def test_micro_batching_matches_sequential(self):
         stream = _workload_stream()
-        config = EngineConfig(batch_size=7, flush_interval=0.01)
+        config = EngineConfig(batch_size=7)
         with ClusteringEngine(PARAMS, config=config) as engine:
             for update in stream:
                 engine.submit(update)
@@ -114,6 +116,74 @@ class TestIngest:
         assert not engine.running
 
 
+def _next_batch_now(engine):
+    """Call ``_next_batch`` on an unstarted engine, failing if it blocks."""
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(engine._next_batch()), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=5)
+    assert result, "_next_batch blocked on a non-empty queue"
+    return result[0]
+
+
+class TestBatchFormation:
+    """Group commit: a batch is what is queued when the writer is free."""
+
+    def test_queued_updates_form_one_batch_without_waiting(self):
+        engine = ClusteringEngine(PARAMS)  # writer never started
+        try:
+            for update in TRIANGLES[:3]:
+                engine.submit(update)
+            assert _next_batch_now(engine) == (TRIANGLES[:3], [], False)
+            assert engine.queue_depth == 0
+        finally:
+            engine.close(checkpoint=False)
+
+    def test_backlog_is_cut_at_batch_size(self):
+        config = EngineConfig(batch_size=4)
+        engine = ClusteringEngine(PARAMS, config=config)
+        updates = [Update.insert(i, i + 1) for i in range(config.batch_size + 5)]
+        try:
+            for update in updates:
+                engine.submit(update)
+            batch, flushes, stop = _next_batch_now(engine)
+            assert batch == updates[: config.batch_size]
+            assert (flushes, stop) == ([], False)
+            assert engine.queue_depth == 5
+        finally:
+            engine.close(checkpoint=False)
+
+    def test_flush_marker_closes_the_batch(self):
+        engine = ClusteringEngine(PARAMS)
+        marker = _Flush()
+        try:
+            engine.submit(TRIANGLES[0])
+            engine.submit(TRIANGLES[1])
+            engine._queue.put(marker)
+            engine.submit(TRIANGLES[2])
+            assert _next_batch_now(engine) == (TRIANGLES[:2], [marker], False)
+            assert _next_batch_now(engine) == ([TRIANGLES[2]], [], False)
+        finally:
+            engine.close(checkpoint=False)
+
+    def test_stop_marker_drains_everything_queued_behind_it(self):
+        config = EngineConfig(batch_size=2)
+        engine = ClusteringEngine(PARAMS, config=config)
+        marker = _Flush()
+        try:
+            engine.submit(TRIANGLES[0])
+            engine._queue.put(_Stop())
+            for update in TRIANGLES[1:5]:
+                engine.submit(update)
+            engine._queue.put(marker)
+            engine.submit(TRIANGLES[5])
+            assert _next_batch_now(engine) == (TRIANGLES, [marker], True)
+        finally:
+            engine.close(checkpoint=False)
+
+
 class TestWriterFailure:
     def test_flush_raises_instead_of_deadlocking(self):
         from repro.service.engine import EngineError
@@ -155,7 +225,7 @@ class TestVertexCanonicalisation:
 
     def test_numeric_string_vertices_survive_crash_recovery(self, tmp_path):
         """The WAL's escaped tokens keep "1" ≠ 1 across crash recovery."""
-        config = EngineConfig(batch_size=2, flush_interval=0.01)
+        config = EngineConfig(batch_size=2)
         engine = ClusteringEngine(PARAMS, config=config, data_dir=tmp_path).start()
         engine.submit(Update.insert("1", "2"))
         engine.submit(Update.insert("2", "3"))
@@ -179,7 +249,7 @@ class TestVertexCanonicalisation:
 class TestRecovery:
     def test_clean_restart_serves_identical_results(self, tmp_path):
         stream = _workload_stream()
-        config = EngineConfig(batch_size=8, flush_interval=0.01)
+        config = EngineConfig(batch_size=8)
         with ClusteringEngine(PARAMS, config=config, data_dir=tmp_path) as engine:
             for update in stream:
                 engine.submit(update)
@@ -193,7 +263,7 @@ class TestRecovery:
 
     def test_crash_recovery_from_snapshot_plus_wal(self, tmp_path):
         stream = _workload_stream(num_updates=80)
-        config = EngineConfig(batch_size=7, flush_interval=0.01, checkpoint_every=25)
+        config = EngineConfig(batch_size=7, checkpoint_every=25)
         engine = ClusteringEngine(PARAMS, config=config, data_dir=tmp_path).start()
         for update in stream:
             engine.submit(update)
@@ -220,7 +290,7 @@ class TestRecovery:
 
     def test_recovery_tolerates_torn_wal_tail(self, tmp_path):
         stream = _workload_stream()
-        config = EngineConfig(batch_size=8, flush_interval=0.01)
+        config = EngineConfig(batch_size=8)
         engine = ClusteringEngine(PARAMS, config=config, data_dir=tmp_path).start()
         for update in stream:
             engine.submit(update)
@@ -254,7 +324,7 @@ class TestRecovery:
             recovered.close(checkpoint=False)
 
     def test_restart_can_continue_ingesting(self, tmp_path):
-        config = EngineConfig(batch_size=4, flush_interval=0.01)
+        config = EngineConfig(batch_size=4)
         with ClusteringEngine(PARAMS, config=config, data_dir=tmp_path) as engine:
             for update in TRIANGLES[:3]:
                 engine.submit(update)
@@ -280,7 +350,7 @@ class TestFailedFinalCheckpoint:
         really re-attempts (and completes) the checkpoint."""
         engine = ClusteringEngine(
             PARAMS,
-            config=EngineConfig(batch_size=8, flush_interval=0.005),
+            config=EngineConfig(batch_size=8),
             data_dir=tmp_path,
         ).start()
         for update in TRIANGLES:
@@ -318,7 +388,7 @@ class TestCloseRaceWindow:
         from repro.service.engine import _Stop
 
         engine = ClusteringEngine(
-            PARAMS, config=EngineConfig(batch_size=8, flush_interval=0.005)
+            PARAMS, config=EngineConfig(batch_size=8)
         ).start()
         for update in TRIANGLES[:3]:
             engine.submit(update)

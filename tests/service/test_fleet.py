@@ -35,7 +35,7 @@ from repro.service.fleet import _Standby
 from repro.service.replication import backoff_delay
 
 PARAMS = StrCluParams(epsilon=0.5, mu=2, rho=0.0)
-FAST = EngineConfig(batch_size=8, flush_interval=0.005)
+FAST = EngineConfig(batch_size=8)
 
 TRIANGLE = [Update.insert(1, 2), Update.insert(2, 3), Update.insert(1, 3)]
 

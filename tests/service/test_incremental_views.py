@@ -201,7 +201,7 @@ class TestViewDelta:
 
 class TestEngineIntegration:
     def test_dynstrclu_publishes_incrementally(self):
-        config = EngineConfig(batch_size=4, flush_interval=0.01)
+        config = EngineConfig(batch_size=4)
         with ClusteringEngine(PARAMS, config=config) as engine:
             for u, v in TWO_TRIANGLES:
                 engine.submit(Update.insert(u, v))
@@ -218,7 +218,7 @@ class TestEngineIntegration:
 
     def test_incremental_views_can_be_disabled(self):
         config = EngineConfig(
-            batch_size=4, flush_interval=0.01, incremental_views=False
+            batch_size=4, incremental_views=False
         )
         with ClusteringEngine(PARAMS, config=config) as engine:
             for u, v in TWO_TRIANGLES:
@@ -228,7 +228,7 @@ class TestEngineIntegration:
             assert engine.metrics.get("view_capture_full") > 0
 
     def test_fallback_backend_publishes_full_captures(self):
-        config = EngineConfig(batch_size=4, flush_interval=0.01)
+        config = EngineConfig(batch_size=4)
         with ClusteringEngine(PARAMS, config=config, backend="scan-exact") as engine:
             for u, v in TWO_TRIANGLES:
                 engine.submit(Update.insert(u, v))

@@ -19,7 +19,7 @@ from repro.service.manager import (
 from repro.service.sharding import ShardedEngine
 
 PARAMS = StrCluParams(epsilon=0.5, mu=2, rho=0.0)
-FAST = EngineConfig(batch_size=8, flush_interval=0.01)
+FAST = EngineConfig(batch_size=8)
 
 TRIANGLE = [Update.insert(1, 2), Update.insert(2, 3), Update.insert(1, 3)]
 

@@ -179,7 +179,7 @@ class TestLoadGenerator:
     def test_full_speed_run_ingests_everything(self):
         stream = _stream()
         with ClusteringEngine(
-            PARAMS, config=EngineConfig(batch_size=16, flush_interval=0.01)
+            PARAMS, config=EngineConfig(batch_size=16)
         ) as engine:
             generator = LoadGenerator(
                 EngineTarget(engine),

@@ -44,7 +44,7 @@ from repro.service.obs import (
 from repro.service.server import BackgroundServer
 
 PARAMS = StrCluParams(epsilon=0.5, mu=2, rho=0.0)
-FAST = EngineConfig(batch_size=8, flush_interval=0.01)
+FAST = EngineConfig(batch_size=8)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.service.replication import (
 )
 
 PARAMS = StrCluParams(epsilon=0.5, mu=2, rho=0.0)
-FAST = EngineConfig(batch_size=8, flush_interval=0.005)
+FAST = EngineConfig(batch_size=8)
 
 TRIANGLE = [Update.insert(1, 2), Update.insert(2, 3), Update.insert(1, 3)]
 
@@ -202,7 +202,6 @@ class TestWalRetention:
     def test_checkpoints_rotate_and_prune_segments(self, tmp_path):
         config = EngineConfig(
             batch_size=4,
-            flush_interval=0.005,
             checkpoint_every=4,
             wal_retain_segments=2,
         )
@@ -227,7 +226,6 @@ class TestWalRetention:
     def test_zero_retention_keeps_only_the_active_segment(self, tmp_path):
         config = EngineConfig(
             batch_size=4,
-            flush_interval=0.005,
             checkpoint_every=4,
             wal_retain_segments=0,
         )
@@ -303,7 +301,7 @@ class TestFencing:
 
         engine = make_engine(
             PARAMS,
-            config=EngineConfig(batch_size=8, flush_interval=0.005, shards=3),
+            config=EngineConfig(batch_size=8, shards=3),
             data_dir=tmp_path,
         ).start()
         try:
@@ -327,7 +325,7 @@ class TestFencing:
 
         engine = make_engine(
             PARAMS,
-            config=EngineConfig(batch_size=8, flush_interval=0.005, shards=3),
+            config=EngineConfig(batch_size=8, shards=3),
             data_dir=tmp_path,
         ).start()
         try:
@@ -504,7 +502,6 @@ class TestStandbyEngine:
         standby re-seeds from the primary's snapshot."""
         config = EngineConfig(
             batch_size=4,
-            flush_interval=0.005,
             checkpoint_every=8,
             wal_retain_segments=0,
         )
@@ -803,7 +800,7 @@ class TestPromotion:
 
 class TestShardedStandby:
     def test_sharded_standby_replays_promotes_and_ingests(self, tmp_path):
-        config = EngineConfig(batch_size=8, flush_interval=0.005)
+        config = EngineConfig(batch_size=8)
         manager = EngineManager(
             StrCluParams(epsilon=0.3, mu=2, rho=0.0),
             default_engine_config=config,

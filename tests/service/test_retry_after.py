@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import StrCluParams
 from repro.core.dynelm import Update
 from repro.service.client import BackpressureError, ServiceClient
-from repro.service.engine import ClusteringEngine, EngineConfig
+from repro.service.engine import ClusteringEngine, EngineConfig, retry_hint_ms
 from repro.service.server import BackgroundServer, retry_after_header
 from repro.service.sharding import ShardedEngine
 
@@ -66,6 +66,34 @@ class TestBackpressureErrorRetryAfter:
         assert exc.retry_after_s == pytest.approx(0.25)
 
 
+class TestRetryHint:
+    def test_backlog_times_measured_cost_clamped(self):
+        assert retry_hint_ms(100, 0.002) == 200
+        assert retry_hint_ms(0, 0.002) == 1  # the 1 ms floor
+        assert retry_hint_ms(10**6, 0.01) == 30_000  # the 30 s ceiling
+
+    def test_floor_per_update_before_the_first_batch(self):
+        # an engine that has applied nothing has no measured cost yet
+        assert retry_hint_ms(0, 0.0) == 1
+        assert retry_hint_ms(64, 0.0) == 64
+
+    def test_engine_hint_grows_with_depth(self):
+        engine = ClusteringEngine(PARAMS)  # writer never started
+        try:
+            assert engine.backpressure_signal().retry_after_ms == 1
+            # a measured batch: 10 updates in 50 ms, i.e. 5 ms per update
+            engine.metrics.observe_batch(10, 0.05)
+            hints = []
+            for depth in (4, 8, 16):
+                for i in range(engine.queue_depth, depth):
+                    engine.submit(Update.insert(i, i + 1))
+                hints.append(engine.backpressure_signal().retry_after_ms)
+            assert hints[0] < hints[1] < hints[2]
+            assert hints == [pytest.approx(5 * d, abs=1) for d in (4, 8, 16)]
+        finally:
+            engine.close(checkpoint=False)
+
+
 class TestServerHeaderAgreesWithBody:
     def test_429_header_is_ceiling_of_body_ms(self):
         # a never-started engine cannot drain its queue: the batch overflows
@@ -104,7 +132,7 @@ class TestClientRetries:
 
     def test_retry_resubmits_the_unaccepted_suffix(self, monkeypatch):
         engine = ClusteringEngine(
-            PARAMS, config=EngineConfig(queue_capacity=4, flush_interval=0.01)
+            PARAMS, config=EngineConfig(queue_capacity=4)
         )
         sleeps = []
 

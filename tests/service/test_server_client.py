@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -28,7 +29,7 @@ TRIANGLES = [
 @pytest.fixture
 def service():
     engine = ClusteringEngine(
-        PARAMS, config=EngineConfig(batch_size=8, flush_interval=0.01)
+        PARAMS, config=EngineConfig(batch_size=8)
     )
     with engine, BackgroundServer(engine) as background:
         client = ServiceClient("127.0.0.1", background.port)
@@ -171,3 +172,25 @@ class TestRoutes:
                 client.close()
         finally:
             engine.close(checkpoint=False)
+
+
+class TestShutdown:
+    def test_idle_keep_alive_connection_closes_without_error(self, caplog):
+        # the client keeps its connection open after one request, so the
+        # server's handler is parked in readline when the loop shuts down
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        engine = ClusteringEngine(PARAMS).start()
+        try:
+            background = BackgroundServer(engine).start()
+            client = ServiceClient("127.0.0.1", background.port)
+            client.stats()
+            background.stop()
+            client.close()
+        finally:
+            engine.close(checkpoint=False)
+        errors = [
+            record
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []

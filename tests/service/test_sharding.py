@@ -34,7 +34,7 @@ from repro.service.sharding import (
 )
 
 PARAMS = StrCluParams(epsilon=0.5, mu=2, rho=0.0)
-FAST = EngineConfig(batch_size=16, flush_interval=0.005, shards=3)
+FAST = EngineConfig(batch_size=16, shards=3)
 
 
 def toggle_stream(num_vertices: int, length: int, seed: int):
@@ -343,7 +343,7 @@ class TestBackpressure:
 class TestDurability:
     def test_round_trip_restores_the_merged_clustering(self, tmp_path):
         stream = toggle_stream(10, 150, seed=11)
-        config = EngineConfig(shards=3, flush_interval=0.005)
+        config = EngineConfig(shards=3)
         with ShardedEngine(PARAMS, config=config, data_dir=tmp_path) as engine:
             for update in stream:
                 engine.submit(update)
@@ -397,7 +397,7 @@ class TestDurability:
     def test_recovery_reconciles_a_torn_cross_shard_replica(self, tmp_path):
         stream = toggle_stream(8, 60, seed=12)
         reference = sequential_reference(stream)
-        config = EngineConfig(shards=2, flush_interval=0.005)
+        config = EngineConfig(shards=2)
         with ShardedEngine(PARAMS, config=config, data_dir=tmp_path) as engine:
             for update in stream:
                 engine.submit(update)
@@ -411,7 +411,7 @@ class TestDurability:
         lucky = shard_of(u, 2)
         half = ClusteringEngine(
             PARAMS,
-            config=EngineConfig(flush_interval=0.005),
+            config=EngineConfig(),
             data_dir=tmp_path / f"shard-{lucky}",
             label_scope=make_label_scope(lucky, 2),
         )
@@ -462,7 +462,7 @@ class TestWriterFailurePropagation:
         instead of blocking the router (and close()) forever."""
         engine = ShardedEngine(
             PARAMS,
-            config=EngineConfig(shards=2, queue_capacity=4, flush_interval=0.005),
+            config=EngineConfig(shards=2, queue_capacity=4),
         )
         engine.start()
         try:

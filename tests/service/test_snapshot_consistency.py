@@ -37,7 +37,7 @@ def test_concurrent_readers_observe_fully_applied_prefixes():
         oracle.apply(update)
         expected[i] = _partition(oracle.group_by(query))
 
-    config = EngineConfig(batch_size=5, flush_interval=0.005)
+    config = EngineConfig(batch_size=5)
     engine = ClusteringEngine(PARAMS, config=config)
     observations = []
     violations = []

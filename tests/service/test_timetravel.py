@@ -52,7 +52,6 @@ def _drive(engine, stream):
 def durable_engine(tmp_path):
     config = EngineConfig(
         batch_size=4,
-        flush_interval=0.01,
         checkpoint_every=25,
         wal_retain_segments=8,
     )
@@ -136,7 +135,6 @@ class TestHistoricalViewStore:
     def test_pruned_history_raises_as_of_unavailable(self, tmp_path):
         config = EngineConfig(
             batch_size=4,
-            flush_interval=0.01,
             checkpoint_every=10,
             wal_retain_segments=1,
         )
@@ -160,7 +158,6 @@ class TestShardedTimeTravel:
         stream = _stream(100)
         config = EngineConfig(
             batch_size=4,
-            flush_interval=0.01,
             checkpoint_every=20,
             wal_retain_segments=8,
             shards=4,
@@ -182,7 +179,6 @@ class TestRetentionFloor:
     def test_pin_holds_segments_and_unpin_releases(self, tmp_path):
         config = EngineConfig(
             batch_size=4,
-            flush_interval=0.01,
             checkpoint_every=10,
             wal_retain_segments=1,
         )
@@ -205,7 +201,6 @@ class TestRetentionFloor:
     def test_standby_ack_floors_pruning(self, tmp_path):
         config = EngineConfig(
             batch_size=4,
-            flush_interval=0.01,
             checkpoint_every=10,
             wal_retain_segments=1,
         )
@@ -244,7 +239,7 @@ class TestRetentionFloor:
         manager = EngineManager(
             PARAMS,
             default_engine_config=EngineConfig(
-                batch_size=4, flush_interval=0.01, wal_retain_segments=2
+                batch_size=4, wal_retain_segments=2
             ),
             data_root=tmp_path,
         )
@@ -264,7 +259,6 @@ class TestTimeTravelHTTP:
             PARAMS,
             default_engine_config=EngineConfig(
                 batch_size=4,
-                flush_interval=0.01,
                 checkpoint_every=25,
                 wal_retain_segments=8,
             ),
@@ -343,7 +337,6 @@ class TestTimeTravelHTTP:
             PARAMS,
             default_engine_config=EngineConfig(
                 batch_size=4,
-                flush_interval=0.01,
                 checkpoint_every=10,
                 wal_retain_segments=1,
             ),

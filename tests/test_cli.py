@@ -178,7 +178,7 @@ class TestReplicationCli:
         )
 
         params = StrCluParams(epsilon=0.5, mu=2, rho=0.0)
-        fast = EngineConfig(batch_size=8, flush_interval=0.005)
+        fast = EngineConfig(batch_size=8)
         manager = EngineManager(
             params,
             default_engine_config=fast,
