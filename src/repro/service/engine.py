@@ -183,6 +183,43 @@ class _Stop:
     __slots__ = ()
 
 
+def take_batch(
+    q: "queue.Queue[object]", batch_size: int
+) -> Tuple[List[Update], List[_Flush], bool]:
+    """Collect one group-commit batch (writer and sharded router) without
+    reading a clock: block for the first item, then take what is already
+    queued, closing the batch at ``batch_size`` updates, at a flush marker
+    or on an empty queue; after a stop marker, take everything queued."""
+    batch: List[Update] = []
+    flushes: List[_Flush] = []
+    stop = False
+    item = q.get()
+    while True:
+        if isinstance(item, _Stop):
+            # drain the close/submit race window: a submit that passed
+            # the _closed check just before close() latched it may have
+            # enqueued behind the stop marker — an accepted update (or
+            # flush marker) must be honoured, not dropped with the
+            # consumer's exit, so now only the empty queue ends the batch
+            stop = True
+        elif isinstance(item, _Flush):
+            # everything submitted before the marker is already in
+            # `batch` (FIFO queue); close the batch so the caller's
+            # wait covers exactly its prefix
+            flushes.append(item)
+            if not stop:
+                break
+        else:
+            batch.append(item)
+            if len(batch) >= batch_size and not stop:
+                break
+        try:
+            item = q.get_nowait()
+        except queue.Empty:
+            break
+    return batch, flushes, stop
+
+
 def retry_hint_ms(queue_depth: int, seconds_per_update: float) -> int:
     """Backpressure retry suggestion shared by both engine shapes.
 
@@ -682,45 +719,12 @@ class ClusteringEngine:
                     self._apply_batch(batch)
             except BaseException as exc:  # surface on the next submit/flush
                 self._failure = exc
-                for marker in flushes:
-                    marker.event.set()
-                break
+                stop = True
             for marker in flushes:
                 marker.event.set()
 
     def _next_batch(self) -> Tuple[List[Update], List[_Flush], bool]:
-        """Collect one group-commit batch without reading a clock: block for
-        the first item, then take what is already queued, closing the batch
-        at ``batch_size`` updates, at a flush marker or on an empty queue."""
-        batch_size = self.config.batch_size
-        batch: List[Update] = []
-        flushes: List[_Flush] = []
-        stop = False
-        item = self._queue.get()
-        while True:
-            if isinstance(item, _Stop):
-                # drain the close/submit race window: a submit that passed
-                # the _closed check just before close() latched it may have
-                # enqueued behind the stop marker — an accepted update (or
-                # flush marker) must be honoured, not dropped with the
-                # writer's exit, so now only the empty queue ends the batch
-                stop = True
-            elif isinstance(item, _Flush):
-                # everything submitted before the marker is already in
-                # `batch` (FIFO queue); close the batch so the caller's
-                # wait covers exactly its prefix
-                flushes.append(item)
-                if not stop:
-                    break
-            else:
-                batch.append(item)
-                if len(batch) >= batch_size and not stop:
-                    break
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-        return batch, flushes, stop
+        return take_batch(self._queue, self.config.batch_size)
 
     #: Span name of one traced update application; the sharded composition
     #: overrides this so router/shard hops are distinguishable in a trace.

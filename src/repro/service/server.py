@@ -248,8 +248,9 @@ class ClusteringServiceServer:
         self.host = host
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        # connections parked between requests → handler task (loop thread)
-        self._idle: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
+        # every open connection → its handler task (event-loop thread only)
+        self._connections: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
+        self._closing = False
 
     @property
     def engine(self) -> ClusteringEngine:
@@ -260,6 +261,7 @@ class ClusteringServiceServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "ClusteringServiceServer":
+        self._closing = False
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self._requested_port
         )
@@ -276,13 +278,15 @@ class ClusteringServiceServer:
 
     async def stop(self) -> None:
         if self._server is not None:
+            self._closing = True
             self._server.close()
-            # EOF ends an idle keep-alive handler parked in readline; one
-            # cancelled at loop shutdown is logged by asyncio as an ERROR
-            for writer in self._idle:
+            # close every connection and wait for its handler (parked: reads
+            # EOF; mid-request: ends without parking again); asyncio logs
+            # an ERROR for any handler still to cancel at loop shutdown
+            for writer in self._connections:
                 writer.close()
-            if self._idle:
-                await asyncio.wait(list(self._idle.values()))
+            if self._connections:
+                await asyncio.wait(list(self._connections.values()))
             await self._server.wait_closed()
             self._server = None
 
@@ -298,9 +302,9 @@ class ClusteringServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections[writer] = asyncio.current_task()
         try:
-            while True:
-                self._idle[writer] = asyncio.current_task()
+            while not self._closing:
                 try:
                     request = await _read_request(reader)
                 except _ProtocolError as exc:
@@ -314,7 +318,6 @@ class ClusteringServiceServer:
                     break
                 if request is None:
                     break
-                del self._idle[writer]
                 method, path, query, headers, body = request
                 supplied = _valid_trace_id(headers.get("x-repro-trace"))
                 # a client-supplied id marks the request *sampled*: its
@@ -367,7 +370,7 @@ class ClusteringServiceServer:
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             pass
         finally:
-            self._idle.pop(writer, None)
+            del self._connections[writer]
             writer.close()
             try:
                 await writer.wait_closed()

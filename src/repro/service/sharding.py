@@ -88,6 +88,7 @@ from repro.service.engine import (
     canonicalise_update,
     put_control,
     retry_hint_ms,
+    take_batch,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.obs import (
@@ -1053,33 +1054,20 @@ class ShardedEngine:
     # router thread
     # ------------------------------------------------------------------
     def _router_loop(self) -> None:
-        stopping = False
-        while True:
-            if stopping:
-                # drain the close/submit race window (see the writer loop's
-                # _Stop handling): accepted updates enqueued just behind
-                # the stop marker are still routed before the router exits
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-            else:
-                item = self._queue.get()
-            if isinstance(item, _Stop):
-                stopping = True
-                continue
+        stop = False
+        while not stop:
+            batch, flushes, stop = take_batch(self._queue, self.config.batch_size)
             try:
-                if isinstance(item, _Flush):
+                for update in batch:
+                    self._route(update)
+                if flushes:
                     for shard in self.shards:
                         shard.flush()
-                    item.event.set()
-                else:
-                    self._route(item)
             except BaseException as exc:  # surface on the next submit/flush
                 self._failure = exc
-                if isinstance(item, _Flush):
-                    item.event.set()
-                break
+                stop = True
+            for marker in flushes:
+                marker.event.set()
 
     def _route(self, update: Update) -> None:
         """Replicate one update to its endpoint shards (router thread only).

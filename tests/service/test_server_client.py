@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
+import time
 
 import pytest
 
@@ -174,6 +176,14 @@ class TestRoutes:
             engine.close(checkpoint=False)
 
 
+def _asyncio_errors(caplog):
+    return [
+        record
+        for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+
+
 class TestShutdown:
     def test_idle_keep_alive_connection_closes_without_error(self, caplog):
         # the client keeps its connection open after one request, so the
@@ -188,9 +198,43 @@ class TestShutdown:
             client.close()
         finally:
             engine.close(checkpoint=False)
-        errors = [
-            record
-            for record in caplog.records
-            if record.name == "asyncio" and record.levelno >= logging.ERROR
-        ]
-        assert errors == []
+        assert _asyncio_errors(caplog) == []
+
+    def test_request_in_flight_at_stop_ends_without_error(self, caplog):
+        # /metrics runs in a worker thread; stop() lands while the handler
+        # awaits it, so the handler must finish and not park again
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        engine = ClusteringEngine(PARAMS).start()
+        try:
+            background = BackgroundServer(engine).start()
+            dispatch = background.server._dispatch
+            in_flight = threading.Event()
+
+            def slow_dispatch(*args):
+                in_flight.set()
+                time.sleep(0.3)
+                return dispatch(*args)
+
+            background.server._dispatch = slow_dispatch
+            client = ServiceClient("127.0.0.1", background.port)
+            outcome = []
+
+            def scrape():
+                try:
+                    outcome.append(client.metrics_text())
+                except (OSError, ServiceError) as exc:
+                    outcome.append(exc)
+
+            scraper = threading.Thread(target=scrape)
+            scraper.start()
+            assert in_flight.wait(5.0)
+            started = time.monotonic()
+            background.stop()
+            stop_seconds = time.monotonic() - started
+            scraper.join(5.0)
+            client.close()
+        finally:
+            engine.close(checkpoint=False)
+        assert not scraper.is_alive() and len(outcome) == 1
+        assert stop_seconds < 5.0
+        assert _asyncio_errors(caplog) == []
