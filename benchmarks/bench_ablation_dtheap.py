@@ -1,8 +1,8 @@
 """Ablation A1 — DtHeap shared counters versus naive per-edge counters.
 
-DESIGN.md calls out the heap organisation of Section 5.2 as the load-bearing
-design choice: without it, every update would touch every incident DT
-instance (Θ(d) counter increments).  This ablation drives both trackers with
+The heap organisation of Section 5.2 (see :mod:`repro.dt.tracker`) is the
+load-bearing design choice: without it, every update would touch every
+incident DT instance (Θ(d) counter increments).  This ablation drives both trackers with
 an identical update stream over a hub-heavy graph and compares both the
 wall-clock time and the operation counts.
 """

@@ -32,8 +32,9 @@ def _run(arm: str, counter: OpCounter) -> None:
     if arm == "exact":
         algo.oracle = ExactSimilarityOracle(algo.graph, PARAMS.similarity, counter)
     elif arm == "sampling":
-        # the paper's sampler with the hybrid rule switched off
-        algo.oracle.similarity = algo.oracle.estimate
+        # the paper's sampler: a zero cutoff switches the hybrid rule off,
+        # both in the oracle and in the strategy that reads the cutoff from it
+        algo.oracle.exact_ratio = 0
     algo.strategy.oracle = algo.oracle
     for update in WORKLOAD.all_updates():
         algo.apply(update)

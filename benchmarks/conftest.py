@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark suite.
 
 Every module under ``benchmarks/`` reproduces one table or figure of the
-paper (see DESIGN.md section 3 for the index).  Each benchmark
+paper (its docstring and the runner it calls in ``repro.experiments.runner``
+name which).  Each benchmark
 
 * runs the corresponding experiment runner once (``benchmark.pedantic`` with
   a single round — the experiment itself already iterates over a whole

@@ -22,6 +22,9 @@ COSINE_BALANCED_FACTOR = 0.45
 COSINE_BALANCE_CUTOFF = 0.81
 COSINE_UNBALANCED_FACTOR = 0.19
 
+# read once: an Enum member lookup costs about 0.1 µs on CPython 3.11
+_JACCARD = SimilarityKind.JACCARD
+
 
 def jaccard_affordability(d_max: int, rho: float, epsilon: float) -> int:
     """``k = floor(½ ρ ε · d_max)`` — Lemmas 5.1 and 5.2."""
@@ -51,21 +54,30 @@ def cosine_threshold(d_min: int, d_max: int, rho: float, epsilon: float) -> int:
     return math.floor(COSINE_UNBALANCED_FACTOR * eps_sq * d_max) + 1
 
 
-def tracking_threshold(graph: DynamicGraph, u: Vertex, v: Vertex, params: StrCluParams) -> int:
-    """DT threshold for edge ``(u, v)`` at its current degrees.
+def degree_threshold(d_u: int, d_v: int, params: StrCluParams) -> int:
+    """DT threshold for an edge whose endpoints have degrees ``d_u`` and ``d_v``.
 
     In exact mode (ρ = 0) every affecting update may invalidate the label, so
-    the threshold degenerates to 1 and DynELM re-labels the edge on every
-    affecting update — the behaviour used by the correctness property tests.
+    the Jaccard threshold degenerates to 1 and DynELM re-labels the edge on
+    every affecting update — the behaviour used by the correctness property
+    tests.
 
     Under cosine similarity the closed neighbourhood sizes ``d[x] + 1`` are
     used for the balance test and the thresholds, consistently with the
     similarity definition used in this library (see
     :func:`repro.graph.similarity.cosine_similarity`).
     """
-    du = graph.degree(u)
-    dv = graph.degree(v)
-    if params.similarity is SimilarityKind.JACCARD:
-        return jaccard_threshold(max(du, dv), params.rho, params.epsilon)
-    n_min, n_max = min(du, dv) + 1, max(du, dv) + 1
-    return cosine_threshold(n_min, n_max, params.rho, params.epsilon)
+    if d_u > d_v:
+        d_u, d_v = d_v, d_u
+    if params.similarity is _JACCARD:
+        return jaccard_threshold(d_v, params.rho, params.epsilon)
+    return cosine_threshold(d_u + 1, d_v + 1, params.rho, params.epsilon)
+
+
+def tracking_threshold(graph: DynamicGraph, u: Vertex, v: Vertex, params: StrCluParams) -> int:
+    """DT threshold for edge ``(u, v)`` at its current degrees in ``graph``.
+
+    The graph-reading form of :func:`degree_threshold`, used where no
+    neighbourhood has been read already (snapshot restore).
+    """
+    return degree_threshold(graph.degree(u), graph.degree(v), params)

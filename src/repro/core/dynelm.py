@@ -6,12 +6,15 @@ under edge insertions and deletions.  The machinery, following the paper:
 * labels are produced by the (½ρε, δ_i)-strategy
   (:class:`~repro.core.labelling.LabellingStrategy`) backed by the sampling
   estimator, so one labelling costs poly-log work instead of a
-  neighbourhood scan (the estimator computes σ exactly when that scan is
-  the cheaper of the two);
+  neighbourhood scan (σ is computed exactly when that scan is the cheaper
+  of the two);
 * every labelled edge can absorb ``τ(u, v) − 1`` affecting updates before
   its label can possibly become invalid
   (:mod:`~repro.core.affordability`), so a DT instance with threshold
-  ``τ(u, v)`` tracks its affecting updates;
+  ``τ(u, v)`` tracks its affecting updates.  Labelling and τ come from one
+  step, :meth:`~repro.core.labelling.LabellingStrategy.relabel`, which reads
+  the edge's two neighbourhoods once; DynELM calls it for the inserted
+  edge and for every matured DT instance, then re-tracks the edge;
 * the DT instances of all edges incident on a vertex share one counter and
   are organised in a ``DtHeap`` (:class:`~repro.dt.tracker.UpdateTracker`),
   so an update only touches the edges whose DT actually signals (edges
@@ -29,7 +32,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.affordability import tracking_threshold
+# not called here: perfbench/tracing.py wraps this module binding, so it stays
+from repro.core.affordability import tracking_threshold  # noqa: F401
 from repro.core.config import StrCluParams
 from repro.core.estimator import ExactSimilarityOracle, SamplingSimilarityOracle, SimilarityOracle
 from repro.core.labelling import EdgeLabel, LabellingStrategy
@@ -113,6 +117,11 @@ class UpdateResult:
 class DynELM:
     """Dynamic Edge Label Maintenance (Theorems 6.1 and 8.1).
 
+    Every strategy invocation — the inserted edge, then each edge whose DT
+    instance matures in the drain — is one call of
+    :meth:`LabellingStrategy.relabel`, which returns the new label and the
+    threshold τ the edge is re-tracked with.
+
     Parameters
     ----------
     params:
@@ -123,6 +132,8 @@ class DynELM:
     oracle:
         Optional similarity oracle override; by default a
         :class:`SamplingSimilarityOracle` (or an exact oracle in exact mode).
+        The strategy reads the oracle's hybrid cutoff at every invocation,
+        so assigning ``strategy.oracle`` later takes effect at once.
     counter:
         Optional :class:`OpCounter` receiving instrumentation events.
     scope:
@@ -225,9 +236,8 @@ class DynELM:
             # label and no DT instance of its own
             flips, relabelled = self._drain(u, w)
             return UpdateResult(update, EdgeLabel.DISSIMILAR, flips, relabelled)
-        label = self.strategy.label(u, w)
+        label, tau = self.strategy.relabel(u, w)
         self.labels[update.edge] = label
-        tau = tracking_threshold(self.graph, u, w, self.params)
         self.tracker.track(u, w, tau)
         relabelled = 1
         # Steps 3 and 4: drain checkpoint-ready DT entries at both endpoints
@@ -261,17 +271,18 @@ class DynELM:
         """Steps 3/4: process matured DT instances at ``u`` then ``w``."""
         flips: List[Tuple[Edge, EdgeLabel]] = []
         relabelled = 0
+        labels = self.labels
+        relabel = self.strategy.relabel
+        tracker = self.tracker
         for endpoint in (u, w):
-            for edge in self.tracker.process_ready(endpoint):
+            for edge in tracker.process_ready(endpoint):
                 a, b = edge
-                old = self.labels[edge]
-                new = self.strategy.label(a, b)
+                new, tau = relabel(a, b)
                 relabelled += 1
-                self.labels[edge] = new
-                if new is not old:
+                if new is not labels[edge]:
                     flips.append((edge, new))
-                tau = tracking_threshold(self.graph, a, b, self.params)
-                self.tracker.track(a, b, tau)
+                labels[edge] = new
+                tracker.track(a, b, tau)
         return flips, relabelled
 
     # ------------------------------------------------------------------

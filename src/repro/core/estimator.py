@@ -20,10 +20,12 @@ throughout, as :func:`repro.graph.similarity.cosine_similarity` explains.
 neighbourhoods are, while the exact similarity costs
 ``min(|N[u]|, |N[v]|)`` set probes.  :meth:`SamplingSimilarityOracle.similarity`
 therefore returns the exact σ whenever
-``min(|N[u]|, |N[v]|) ≤ EXACT_COST_RATIO · L`` and samples otherwise
-(the cosine short-circuit runs first either way); the paper's pure sampler
-stays available as :meth:`SamplingSimilarityOracle.estimate`.  The
-guarantees survive the switch:
+``min(|N[u]|, |N[v]|) ≤ exact_ratio · L`` (``exact_ratio`` defaults to
+``EXACT_COST_RATIO``) and samples otherwise (the cosine short-circuit runs
+first either way); the paper's pure sampler stays available as
+:meth:`SamplingSimilarityOracle.estimate`, and an oracle whose
+``exact_ratio`` is 0 samples every edge.  The guarantees survive the
+switch:
 
 * an exact value is a (Δ, δ)-estimate with δ = 0, so Theorem 4.1 holds
   for every call and Lemma 4.3 still makes each strategy invocation's label
@@ -31,6 +33,23 @@ guarantees survive the switch:
 * the exact branch runs only when it costs at most ``EXACT_COST_RATIO · L_i``
   probes, a constant factor of the invocation's sampling cost, so the
   amortized update bound of Theorems 6.1 and 8.1 is unchanged.
+
+**Where the rule runs.**  DynELM does not call an oracle for most labels.
+:meth:`~repro.core.labelling.LabellingStrategy.relabel` reads the two
+neighbourhoods once and applies the rule itself, with the cutoff
+``exact_ratio · L_1`` read from the oracle it holds at call time.  The
+sample size ``L_i`` is non-decreasing in the invocation index ``i`` (δ_i
+falls, and the ``max_samples`` cap is monotone), so
+``n_min ≤ exact_ratio · L_1`` implies ``n_min ≤ exact_ratio · L_i``: every
+edge under the cutoff is one the oracle would have computed exactly, and
+``L_i`` need only be computed, and the oracle called, above it.  ``i``
+still advances on every label, so δ_i, the sample sizes of the sampled
+invocations and Lemma 4.3 are unchanged.  In exact mode (ρ = 0) no
+invocation samples, so the cutoff is unbounded.  The strategy uses the
+attributes of the :class:`SimilarityOracle` protocol (``graph``,
+``kind``, ``exact_ratio``, ``short_circuit_ratio``), so it charges the
+same ``similarity_eval`` and ``neighbour_probe`` counts as the oracle
+would, for the exact oracle and the sampling one alike.
 
 With the hybrid, the ``max_samples`` cap of
 :class:`~repro.core.config.StrCluParams` only matters on edges whose
@@ -64,7 +83,21 @@ EXACT_COST_RATIO = 20
 
 
 class SimilarityOracle(Protocol):
-    """Anything that can produce a similarity value for an edge of the graph."""
+    """Anything that can produce a similarity value for an edge of the graph.
+
+    Besides :meth:`similarity`, an oracle publishes the rule by which it
+    evaluates σ exactly, so that the labelling strategy can apply that rule
+    inline (see "Where the rule runs" in the module docstring).  Sizes are
+    closed neighbourhood sizes in ``graph``; ``n_min`` and ``n_max`` are
+    the smaller and larger of the two.
+    """
+
+    graph: DynamicGraph
+    kind: SimilarityKind
+    #: σ is computed exactly (``n_min`` probes) when ``n_min ≤ exact_ratio · L``
+    exact_ratio: float
+    #: σ is reported as 0, with no probe, when ``n_min < short_circuit_ratio · n_max``
+    short_circuit_ratio: float
 
     def similarity(self, u: Vertex, v: Vertex, num_samples: Optional[int] = None) -> float:
         """Return an (estimate of the) structural similarity of edge ``(u, v)``."""
@@ -79,6 +112,11 @@ class ExactSimilarityOracle:
     the exact baselines, by ρ = 0 mode and by the estimator ablation
     benchmark.
     """
+
+    #: every σ is exact, whatever the sample size ...
+    exact_ratio = math.inf
+    #: ... including the cosine edges that Lemma 8.2 settles without a probe
+    short_circuit_ratio = 0.0
 
     def __init__(
         self,
@@ -133,6 +171,12 @@ class SamplingSimilarityOracle:
         self.rng = rng if rng is not None else random.Random(0)
         self.default_samples = default_samples
         self.counter = counter if counter is not None else NULL_COUNTER
+        #: the hybrid crossover; 0 makes :meth:`similarity` the pure sampler
+        self.exact_ratio: float = EXACT_COST_RATIO
+        #: Lemma 8.2: under cosine, ``n_min < ε² n_max`` is dissimilar
+        self.short_circuit_ratio = (
+            epsilon * epsilon if self.kind is SimilarityKind.COSINE else 0.0
+        )
 
     # ------------------------------------------------------------------
     def _mean_indicator(self, u: Vertex, v: Vertex, num_samples: int) -> float:
@@ -162,17 +206,17 @@ class SamplingSimilarityOracle:
         """Return ``σ(u, v)`` exactly when that is cheaper, else ``σ̃(u, v)``.
 
         The exact value is used when ``min(|N[u]|, |N[v]|) ≤
-        EXACT_COST_RATIO · num_samples`` (counted as ``neighbour_probe``);
+        exact_ratio · num_samples`` (counted as ``neighbour_probe``);
         otherwise this is :meth:`estimate` (counted as ``sample``).
         """
-        return self._evaluate(u, v, num_samples, EXACT_COST_RATIO)
+        return self._evaluate(u, v, num_samples, self.exact_ratio)
 
     def estimate(self, u: Vertex, v: Vertex, num_samples: Optional[int] = None) -> float:
         """Return the paper's sampled ``σ̃(u, v)`` (Jaccard) or ``σ̃_c(u, v)`` (cosine)."""
         return self._evaluate(u, v, num_samples, 0)
 
     def _evaluate(
-        self, u: Vertex, v: Vertex, num_samples: Optional[int], exact_ratio: int
+        self, u: Vertex, v: Vertex, num_samples: Optional[int], exact_ratio: float
     ) -> float:
         samples = num_samples if num_samples is not None else self.default_samples
         if samples < 1:
@@ -181,14 +225,13 @@ class SamplingSimilarityOracle:
         size_u = self.graph.degree(u) + 1
         size_v = self.graph.degree(v) + 1
         n_min, n_max = min(size_u, size_v), max(size_u, size_v)
-        cosine = self.kind is SimilarityKind.COSINE
-        if cosine and n_min < self.epsilon * self.epsilon * n_max:
+        if n_min < self.short_circuit_ratio * n_max:
             return 0.0  # the short-circuit of Lemma 8.2
         if n_min <= exact_ratio * samples:
             self.counter.add("neighbour_probe", n_min)
             return structural_similarity(self.graph, u, v, self.kind)
         mean = self._mean_indicator(u, v, samples)
-        if cosine:
+        if self.kind is SimilarityKind.COSINE:
             return (size_u + size_v) * mean / (2.0 * math.sqrt(size_u * size_v))
         return mean / (2.0 - mean) if mean < 2.0 else 1.0
 

@@ -16,9 +16,11 @@ use.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Dict, Tuple
 
+from repro.core.affordability import degree_threshold
 from repro.core.config import StrCluParams
 from repro.core.estimator import SimilarityOracle
 from repro.graph.dynamic_graph import DynamicGraph, Vertex, canonical_edge
@@ -43,13 +45,30 @@ class EdgeLabel(str, Enum):
         return self is EdgeLabel.SIMILAR
 
 
+# Enum members read once: ``EdgeLabel.SIMILAR`` is a descriptor lookup that
+# costs about 0.1 µs on CPython 3.11, several times a module-global read
+_LABEL_OF = (EdgeLabel.DISSIMILAR, EdgeLabel.SIMILAR)  # indexed by σ̃ ≥ ε
+_JACCARD = SimilarityKind.JACCARD
+
+
 class LabellingStrategy:
     """The (½ρε, δ)-strategy with the per-invocation δ-schedule.
 
-    Each call to :meth:`label` is one strategy invocation: the invocation
-    counter ``i`` advances, δ_i and the sample size L_i are derived from the
-    parameters, the oracle is queried and the threshold test ``σ̃ ≥ ε`` is
-    applied.
+    Each call to :meth:`relabel` (or :meth:`label`) is one strategy
+    invocation: the invocation counter ``i`` advances, σ is evaluated and
+    the threshold test ``σ̃ ≥ ε`` is applied.  :meth:`relabel` also returns
+    the DT threshold τ of the edge, computed from the same two degrees, so
+    DynELM labels and re-tracks an edge from one read of its two
+    neighbourhoods.
+
+    σ follows the hybrid rule of the oracle the strategy holds at call time
+    (see "Where the rule runs" in :mod:`repro.core.estimator`).  When the
+    smaller closed neighbourhood is at most ``oracle.exact_ratio · L_1``,
+    the strategy computes σ inline from one set intersection, charging the
+    oracle's ``similarity_eval`` and ``neighbour_probe`` counts; ``L_1`` is
+    the first (and smallest) sample size, computed once per strategy, and
+    in exact mode the cutoff is unbounded.  Only above the cutoff is δ_i
+    turned into the sample size ``L_i`` and the oracle called.
     """
 
     def __init__(
@@ -62,17 +81,51 @@ class LabellingStrategy:
         self.oracle = oracle
         self.invocations = 0
         self.counter = counter if counter is not None else NULL_COUNTER
+        # L_1, the smallest L_i (L_i is non-decreasing in i); exact mode has none
+        self._first_samples = None if params.exact_mode else params.sample_size(1)
+
+    def relabel(self, u: Vertex, v: Vertex) -> Tuple[EdgeLabel, int]:
+        """Label edge ``(u, v)`` with a fresh invocation; returns ``(label, τ)``."""
+        self.invocations += 1
+        params = self.params
+        oracle = self.oracle
+        counter = self.counter
+        counter.add("label_invocation")
+        graph = oracle.graph
+        nu = graph.neighbours(u)
+        nv = graph.neighbours(v)
+        d_u = len(nu)
+        d_v = len(nv)
+        # closed neighbourhood sizes |N[x]| = d[x] + 1
+        if d_u < d_v:
+            n_min, n_max = d_u + 1, d_v + 1
+        else:
+            n_min, n_max = d_v + 1, d_u + 1
+        first_samples = self._first_samples
+        if first_samples is None or n_min <= oracle.exact_ratio * first_samples:
+            counter.add("similarity_eval")
+            if n_min < oracle.short_circuit_ratio * n_max:
+                similar = False  # the short-circuit of Lemma 8.2
+            else:
+                counter.add("neighbour_probe", n_min)
+                if v not in nu:
+                    similar = False  # a non-adjacent pair has σ = 0
+                else:
+                    # |N[u] ∩ N[v]|: the open common neighbours plus u and v
+                    common = len(nu & nv) + 2
+                    if oracle.kind is _JACCARD:
+                        sigma = common / (d_u + d_v + 2 - common)
+                    else:
+                        sigma = common / math.sqrt((d_u + 1) * (d_v + 1))
+                    similar = sigma >= params.epsilon
+        else:
+            samples = params.sample_size(self.invocations)
+            similar = oracle.similarity(u, v, num_samples=samples) >= params.epsilon
+        return _LABEL_OF[similar], degree_threshold(d_u, d_v, params)
 
     def label(self, u: Vertex, v: Vertex) -> EdgeLabel:
         """Label edge ``(u, v)`` with a fresh strategy invocation."""
-        self.invocations += 1
-        self.counter.add("label_invocation")
-        if self.params.exact_mode:
-            estimate = self.oracle.similarity(u, v)
-        else:
-            samples = self.params.sample_size(self.invocations)
-            estimate = self.oracle.similarity(u, v, num_samples=samples)
-        return EdgeLabel.SIMILAR if estimate >= self.params.epsilon else EdgeLabel.DISSIMILAR
+        return self.relabel(u, v)[0]
 
     def last_sample_size(self) -> int:
         """Sample size that the *next* invocation would use (monitoring aid)."""

@@ -3,7 +3,7 @@
 Each runner builds the relevant workloads on the synthetic dataset
 stand-ins, drives the algorithms and returns a list of flat result rows
 (dictionaries).  The benchmark modules under ``benchmarks/`` and the CLI
-call these functions; DESIGN.md maps each to its table or figure.
+call these functions; each runner's docstring names its table or figure.
 
 Scale knobs (``update_multiplier``, dataset subsets) default to values that
 keep the whole harness runnable in minutes on a laptop while preserving the
@@ -50,7 +50,8 @@ ALGORITHM_NAMES = ("DynELM", "DynStrClu", "pSCAN", "hSCAN")
 #: Per-invocation sample cap used by the harness.  The theoretical L_i at
 #: rho = 0.01 is in the millions, far beyond what is useful on the synthetic
 #: stand-ins; capping keeps the harness interactive while leaving the shapes
-#: of the curves intact (documented in DESIGN.md and EXPERIMENTS.md).
+#: of the curves intact (the :mod:`repro.core.estimator` docstring explains
+#: why the hybrid oracle leaves the cap binding only between two hubs).
 HARNESS_MAX_SAMPLES = 128
 
 #: Larger cap used by the quality reproductions (Tables 2 and 3), where the

@@ -9,7 +9,7 @@ extra), a generator with planted community structure or a heavy-tailed
 degree distribution, and the per-dataset default ε used by the paper's
 quality experiments (Tables 2 and 3).
 
-The substitution is documented in DESIGN.md: the algorithms' relative
+This docstring is the record of the substitution: the algorithms' relative
 behaviour is driven by degree distribution, community structure and the
 update mix — all preserved here — not by the identity of the vertices.
 Benchmarks report the same rows/series as the paper with these stand-ins.

@@ -69,7 +69,7 @@ class TestAllAlgorithmsOnOneWorkload:
 
         # the approximate labelling is close to exact: valid at a widened band
         # (the harness caps the per-invocation sample size, so the strict
-        # Theorem 6.1 band needs the uncapped L_i — see DESIGN.md)
+        # Theorem 6.1 band needs the uncapped L_i — see StrCluParams.max_samples)
         assert is_valid_rho_approximate(
             dyn_approx.graph, dyn_approx.labels, epsilon, min(0.9, 5 * params_approx.rho)
         )

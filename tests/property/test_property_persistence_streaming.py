@@ -1,6 +1,6 @@
 """Property-based tests for persistence and sliding-window invariants.
 
-Invariants covered (extending DESIGN.md section 5):
+Invariants covered:
 
 9.  **Snapshot round trip** — for any update sequence, snapshotting the
     maintained state, serialising it to JSON, parsing it back and restoring
