@@ -664,8 +664,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"GET /v1/healthz, GET|POST /v1/tenants, "
                 f"DELETE /v1/tenants/{{t}}, "
                 f"POST /v1/tenants/{{t}}/updates, POST /v1/tenants/{{t}}/group-by, "
-                f"GET /v1/tenants/{{t}}/cluster/{{v}}, GET /v1/tenants/{{t}}/stats; "
-                f"legacy unversioned routes serve the default tenant)",
+                f"GET /v1/tenants/{{t}}/cluster/{{v}}, GET /v1/tenants/{{t}}/stats)",
                 file=sys.stderr,
             )
             await server.serve_forever()

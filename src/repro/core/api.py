@@ -130,18 +130,6 @@ class FullRebuildDeltaMixin:
         return ViewDelta.full()
 
 
-def drain_view_delta(maintainer: object) -> ViewDelta:
-    """Drain ``maintainer``'s view delta, tolerating legacy backends.
-
-    Plugin backends registered before the delta surface existed simply
-    lack the method; they behave as full-rebuild backends.
-    """
-    drain = getattr(maintainer, "drain_view_delta", None)
-    if drain is None:
-        return ViewDelta.full()
-    return drain()
-
-
 def _group_by_from_clustering(
     clustering: Clustering, query: Iterable[Vertex]
 ) -> GroupByResult:
@@ -362,9 +350,9 @@ class HScanClusterer(FullRebuildDeltaMixin):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-#: A factory takes ``(params, counter=None, connectivity_backend="hdt")``
-#: and returns a :class:`Clusterer`; unknown keyword arguments are ignored
-#: by backends that have no use for them.
+#: A factory takes ``(params, counter=None, connectivity_backend="hdt",
+#: scope=None)`` and returns a :class:`Clusterer`; unknown keyword
+#: arguments are ignored by backends that have no use for them.
 ClustererFactory = Callable[..., Clusterer]
 
 _BACKENDS: Dict[str, ClustererFactory] = {}
@@ -420,12 +408,9 @@ def make_clusterer(
             f"unknown clustering backend {backend!r}; "
             f"registered: {', '.join(available_backends())}"
         )
-    kwargs = {"counter": counter, "connectivity_backend": connectivity_backend}
-    if scope is not None:
-        # only forwarded when set, so legacy plugin factories that predate
-        # scoped labelling keep working in the unsharded configuration
-        kwargs["scope"] = scope
-    return factory(params, **kwargs)
+    return factory(
+        params, counter=counter, connectivity_backend=connectivity_backend, scope=scope
+    )
 
 
 def _make_dynstrclu(

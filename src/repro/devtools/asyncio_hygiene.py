@@ -36,7 +36,6 @@ BLOCKING_ATTRS = frozenset(
     {
         "_dispatch",
         "_dispatch_v1",
-        "_dispatch_legacy",
         "read_text",
         "write_text",
         "read_bytes",

@@ -15,10 +15,11 @@ a *string* identifier that would be ambiguous — one that parses as an
 integer, or one starting with ``~`` — is written with a ``~`` escape prefix
 (``"17"`` → ``~17``, ``"~x"`` → ``~~x``), so the round trip is lossless:
 the int ``17`` and the string ``"17"`` are distinct vertices and stay
-distinct through WAL replay.  A log carrying the old ``v1`` header is read
-with the pre-escape rules (tokens verbatim, ints collapsed), so existing
-logs — including ones whose string vertices start with ``~`` — replay
-exactly as they always did.
+distinct through WAL replay.  A bare ``~`` names no vertex and is refused.
+A log carrying the pre-escape ``v1`` header stored its tokens verbatim, so
+read as v2 a string vertex starting with ``~`` would lose its prefix and
+replay as a different vertex; such a log is refused, on read and on
+append, rather than misread.
 
 The combination ``snapshot + log suffix`` reconstructs a maintainer after a
 crash: restore the snapshot, then :func:`replay_updates` over the log
@@ -39,9 +40,7 @@ from repro.graph.dynamic_graph import Vertex
 #: Header line written at the top of every log file.
 LOG_HEADER = "# repro-update-log v2"
 
-#: Header of the pre-escape format: tokens are read verbatim (no ``~``
-#: unescaping), so a v1 log whose string vertices happen to start with
-#: ``~`` round-trips unchanged.
+#: Header of the pre-escape format (tokens verbatim), which is refused.
 LOG_HEADER_V1 = "# repro-update-log v1"
 
 #: Escape prefix marking a token that must parse back as a *string* even
@@ -94,13 +93,11 @@ def format_vertex_token(v: Vertex) -> str:
     return text
 
 
-def parse_vertex_token(token: str, unescape: bool = True) -> Vertex:
-    """Inverse of :func:`format_vertex_token`.
-
-    ``unescape=False`` selects the pre-v2 reading (tokens verbatim, ints
-    collapsed), used when replaying a log written before the escape format.
-    """
-    if unescape and token.startswith(ESCAPE_PREFIX):
+def parse_vertex_token(token: str) -> Vertex:
+    """Inverse of :func:`format_vertex_token`."""
+    if token.startswith(ESCAPE_PREFIX):
+        if token == ESCAPE_PREFIX:
+            raise UpdateLogError(f"vertex token {token!r} names no vertex")
         return token[len(ESCAPE_PREFIX):]
     try:
         return int(token)
@@ -108,9 +105,13 @@ def parse_vertex_token(token: str, unescape: bool = True) -> Vertex:
         return token
 
 
-# retained aliases: the historical private names, used across the test suite
-_format_vertex = format_vertex_token
-_parse_vertex = parse_vertex_token
+def _refuse_v1(path: Path, first_line: str) -> None:
+    """Raise if ``first_line`` is the header of a pre-escape v1 log."""
+    if first_line.strip() == LOG_HEADER_V1:
+        raise UpdateLogError(
+            f"{path} is a v1-format update log ({LOG_HEADER_V1!r}); "
+            "this version reads only v2 logs"
+        )
 
 
 def format_update(update: Update) -> str:
@@ -121,9 +122,7 @@ def format_update(update: Update) -> str:
     )
 
 
-def parse_update_line(
-    line: str, lineno: int = 0, unescape: bool = True
-) -> Optional[Update]:
+def parse_update_line(line: str, lineno: int = 0) -> Optional[Update]:
     """Parse one log line; returns ``None`` for blank lines and comments."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -131,12 +130,11 @@ def parse_update_line(
     parts = stripped.split()
     if len(parts) != 3 or parts[0] not in _SYMBOL_TO_OP:
         raise UpdateLogError(f"malformed update-log line {lineno}: {line!r}")
-    kind = _SYMBOL_TO_OP[parts[0]]
-    return Update(
-        kind,
-        parse_vertex_token(parts[1], unescape=unescape),
-        parse_vertex_token(parts[2], unescape=unescape),
-    )
+    try:
+        u, v = parse_vertex_token(parts[1]), parse_vertex_token(parts[2])
+    except UpdateLogError as exc:
+        raise UpdateLogError(f"malformed update-log line {lineno}: {exc}") from None
+    return Update(_SYMBOL_TO_OP[parts[0]], u, v)
 
 
 class UpdateLogWriter:
@@ -154,16 +152,8 @@ class UpdateLogWriter:
         self.path = Path(path)
         mode = "a" if append and self.path.exists() else "w"
         if mode == "a":
-            # this writer emits v2 (~-escaped) tokens; splicing them into a
-            # pre-escape log would make the reader mis-parse the appended
-            # suffix (the v1 header disables unescaping file-wide)
             with self.path.open("r", encoding="utf-8") as existing:
-                first = existing.readline().strip()
-            if first == LOG_HEADER_V1:
-                raise UpdateLogError(
-                    f"cannot append v2 entries to the v1-format log {self.path}; "
-                    "rewrite it with write_update_log(read_update_log(path), path) first"
-                )
+                _refuse_v1(self.path, existing.readline())
         self._handle: Optional[IO[str]] = self.path.open(mode, encoding="utf-8")
         if mode == "w":
             self._handle.write(LOG_HEADER + "\n")
@@ -293,11 +283,9 @@ class UpdateLogReader:
         with self.path.open("r", encoding="utf-8") as handle:
             pending: Optional[str] = None
             pending_no = 0
-            unescape = True
             for lineno, line in enumerate(handle, start=1):
-                if lineno == 1 and line.strip() == LOG_HEADER_V1:
-                    # pre-escape log: read its tokens exactly as written
-                    unescape = False
+                if lineno == 1:
+                    _refuse_v1(self.path, line)
                 if pending is not None:
                     stripped = pending.strip()
                     if stripped.startswith(BASE_PREFIX):
@@ -306,9 +294,7 @@ class UpdateLogReader:
                         if self.entries_skipped < skip:
                             self.entries_skipped += 1
                         else:
-                            update = parse_update_line(
-                                pending, pending_no, unescape=unescape
-                            )
+                            update = parse_update_line(pending, pending_no)
                             if update is not None:
                                 self.entries_read += 1
                                 yield update
@@ -322,7 +308,7 @@ class UpdateLogReader:
                 # an empty just-rotated segment: the marker is the last line
                 self._note_base(pending.strip())
             try:
-                update = parse_update_line(pending, pending_no, unescape=unescape)
+                update = parse_update_line(pending, pending_no)
             except UpdateLogError:
                 if self.tolerate_torn_tail:
                     self.torn_tail = True

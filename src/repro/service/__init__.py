@@ -45,8 +45,7 @@ hosts many isolated tenants behind one versioned HTTP surface:
   source, data directory) with runtime tenant create/delete/promote;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   stdlib-only asyncio JSON-over-HTTP front-end serving the versioned
-  ``/v1/tenants/{tenant}/...`` API (legacy unversioned routes map to the
-  ``default`` tenant for one release) and its matching client;
+  ``/v1/tenants/{tenant}/...`` API and its matching client;
 * :mod:`repro.service.metrics` — ingest/query latency histograms and
   throughput counters, mergeable across tenants;
 * :mod:`repro.service.obs` — end-to-end tracing (``X-Repro-Trace``

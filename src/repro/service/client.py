@@ -65,8 +65,9 @@ class ServiceError(RuntimeError):
     """A non-2xx response from the service.
 
     ``code`` and ``retryable`` are parsed from the v1 error envelope
-    (``{"error": {"code", "message", "retryable"}}``); for legacy flat
-    errors they fall back to ``"error"`` / ``False``.
+    (``{"error": {"code", "message", "retryable"}}``).  A body without
+    the envelope — a proxy's error page, or the client's own error for a
+    non-text ``/metrics`` payload — falls back to ``"error"`` / ``False``.
     """
 
     def __init__(

@@ -24,7 +24,7 @@ concurrent service component:
   changed) gets its view *patched* from the previous one in O(|F| log n)
   instead of re-captured in O(n + m); the engine falls back to a full
   capture when the backend cannot track deltas, when the dirty region
-  exceeds ``view_rebuild_fraction`` of the graph, or when the persistent
+  exceeds :data:`VIEW_REBUILD_FRACTION` of the graph, or when the persistent
   membership buckets must be re-sized.
 * **Durability and crash recovery.**  With a ``data_dir``, every accepted
   update is appended to a WAL *before* it is applied, and a checkpoint
@@ -55,12 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.api import (
-    SNAPSHOT_CAPABLE_BACKENDS,
-    Clusterer,
-    drain_view_delta,
-    make_clusterer,
-)
+from repro.core.api import SNAPSHOT_CAPABLE_BACKENDS, Clusterer, make_clusterer
 from repro.core.config import StrCluParams
 from repro.core.dynelm import Update, UpdateKind
 from repro.core.dynstrclu import DynStrClu
@@ -93,6 +88,11 @@ from repro.service.views import ClusteringView
 
 #: Slow-batch diagnostics (threshold-gated; see EngineConfig.slow_batch_seconds).
 _LOG = logging.getLogger("repro.service.engine")
+
+#: A patch whose dirty region exceeds this fraction of the graph's vertices
+#: (and the 64-vertex floor that keeps tiny graphs incremental) falls back
+#: to a full capture: beyond that point the full retrieval is cheaper.
+VIEW_REBUILD_FRACTION = 0.5
 
 #: Recently applied traced positions retained per engine for WAL serving.
 _TRACE_POSITIONS_CAPACITY = 4096
@@ -299,16 +299,6 @@ class EngineConfig:
         When true the WAL is fsynced after every batch (full durability);
         when false it is flushed per entry but fsynced only at checkpoints
         and close — the usual group-commit trade-off.
-    incremental_views:
-        When true (the default) views are patched from the backend's flip
-        set whenever the backend tracks one; when false every publication
-        is a full O(n + m) capture (the pre-incremental behaviour, kept as
-        an operational escape hatch and for benchmarking).
-    view_rebuild_fraction:
-        Fall back to a full capture when the dirty region of a patch
-        exceeds this fraction of the graph's vertices — beyond that point
-        the full retrieval is cheaper than patching.  (A small absolute
-        floor keeps tiny graphs on the incremental path.)
     shards:
         How many hash partitions the vertex space is split into.  ``1``
         (the default) is the single-writer engine described above; ``> 1``
@@ -335,8 +325,6 @@ class EngineConfig:
     queue_capacity: int = 4096
     checkpoint_every: int = 0
     fsync_each_batch: bool = False
-    incremental_views: bool = True
-    view_rebuild_fraction: float = 0.5
     shards: int = 1
     wal_retain_segments: int = 2
     slow_batch_seconds: float = 1.0
@@ -348,8 +336,6 @@ class EngineConfig:
             raise ValueError("queue_capacity must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if not 0.0 <= self.view_rebuild_fraction <= 1.0:
-            raise ValueError("view_rebuild_fraction must be in [0, 1]")
         if not 1 <= self.shards <= MAX_SHARDS:
             raise ValueError(f"shards must be in [1, {MAX_SHARDS}]")
         if self.wal_retain_segments < 0:
@@ -453,16 +439,9 @@ class ClusteringEngine:
             # cutting a checkpoint here folds the replayed tail into the
             # snapshot so the old segment is no longer needed
             self._checkpoint()
-        # a backend patches views only when it exposes the three probes the
-        # patcher replays over the dirty region (is_core / core_component /
-        # core_attachments); anything else always full-captures
-        self._patch_probes = all(
-            callable(getattr(self.maintainer, name, None))
-            for name in ("is_core", "core_component", "core_attachments")
-        )
         # discard deltas accumulated during construction/recovery: the
         # initial view below is a full capture of exactly that state
-        drain_view_delta(self.maintainer)
+        self.maintainer.drain_view_delta()
         self._view: ClusteringView = (
             ClusteringView.capture(self.maintainer, self.applied)
             if self.applied
@@ -847,26 +826,23 @@ class ClusteringEngine:
         Drains the backend's :class:`~repro.core.result.ViewDelta` and
         patches the current view from the flip set; falls back to a full
         :meth:`ClusteringView.capture` when the backend cannot track
-        deltas, incremental views are disabled, the dirty region exceeds
-        the rebuild threshold, or the persistent buckets need re-sizing.
+        deltas, the dirty region exceeds the rebuild threshold, or the
+        persistent buckets need re-sizing.
         """
         start = time.perf_counter()
-        delta = drain_view_delta(self.maintainer)
+        delta = self.maintainer.drain_view_delta()
         view = None
         flip_set_size: Optional[int] = None
         if not delta.full_rebuild:
             flip_set_size = len(delta.flips)
-            if self.config.incremental_views and self._patch_probes:
-                num_vertices = self.maintainer.graph.num_vertices
-                max_dirty = max(
-                    64, int(self.config.view_rebuild_fraction * num_vertices)
-                )
-                view = self._view.patched(
-                    self.maintainer,
-                    delta.flips,
-                    version=self.applied,
-                    max_dirty=max_dirty,
-                )
+            num_vertices = self.maintainer.graph.num_vertices
+            max_dirty = max(64, int(VIEW_REBUILD_FRACTION * num_vertices))
+            view = self._view.patched(
+                self.maintainer,
+                delta.flips,
+                version=self.applied,
+                max_dirty=max_dirty,
+            )
         mode = "incremental"
         if view is None:
             mode = "full"

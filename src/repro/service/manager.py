@@ -14,8 +14,9 @@ the single-tenant :class:`~repro.service.engine.ClusteringEngine`:
 * with a ``data_root``, each durable tenant persists under
   ``data_root/<tenant>/`` and recovers independently on restart.
 
-The ``default`` tenant is created eagerly (unless disabled) so the legacy
-unversioned HTTP routes — kept for one release — have somewhere to land.
+The ``default`` tenant is created eagerly (unless disabled): it is the
+tenant :class:`~repro.service.client.ServiceClient` and ``repro serve``
+address when none is named.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.service.timetravel import DEFAULT_HISTORY_CACHE_SIZE, HistoricalViewS
 #: Tenant names are path segments: one release of URL-safety by construction.
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
-#: The tenant serving the legacy unversioned routes.
+#: The tenant clients and ``repro serve`` address when none is named.
 DEFAULT_TENANT = "default"
 
 
@@ -169,8 +170,8 @@ class EngineManager:
     max_tenants:
         Hard cap on concurrently hosted tenants (the server-wide quota).
     create_default:
-        Create the ``default`` tenant eagerly so the legacy unversioned
-        routes resolve.
+        Create the ``default`` tenant eagerly, so a client that names no
+        tenant has one to address.
     history_cache_size:
         Per-tenant bound on materialised historical (``as_of``) views —
         the LRU capacity of each tenant's

@@ -31,10 +31,8 @@ client-supplied ``X-Repro-Trace`` header, which additionally samples the
 request's updates for end-to-end propagation) and echoes it back as an
 ``X-Repro-Trace`` response header; see ``docs/OBSERVABILITY.md``.
 
-The five pre-v1 routes (``/updates``, ``/group-by``, ``/cluster/{v}``,
-``/stats``, ``/healthz``) are still served for one release, mapped to the
-``default`` tenant with their original response shapes (flat errors,
-503 backpressure).  New clients should use ``/v1/...`` only.
+Apart from ``/metrics``, every path outside ``/v1/`` answers 404
+``not_found``.
 
 Every v1 error body is the structured envelope::
 
@@ -68,7 +66,11 @@ from urllib.parse import parse_qs, unquote
 import repro
 from repro.core.dynelm import Update, UpdateKind
 from repro.graph.dynamic_graph import Vertex
-from repro.persistence.updatelog import format_vertex_token, parse_vertex_token
+from repro.persistence.updatelog import (
+    UpdateLogError,
+    format_vertex_token,
+    parse_vertex_token,
+)
 from repro.service.engine import (
     ClusteringEngine,
     EngineBackpressure,
@@ -232,8 +234,8 @@ class ClusteringServiceServer:
     """Serve an :class:`EngineManager` over JSON/HTTP on asyncio.
 
     Accepts either a manager (the multi-tenant path) or a bare
-    :class:`ClusteringEngine`, which is adopted as the ``default`` tenant —
-    the single-tenant compatibility path used by tests and examples.
+    :class:`ClusteringEngine` / :class:`ShardedEngine`, which is adopted as
+    the ``default`` tenant (``repro serve --shards``, tests and examples).
     """
 
     def __init__(
@@ -251,11 +253,6 @@ class ClusteringServiceServer:
         # every open connection → its handler task (event-loop thread only)
         self._connections: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
         self._closing = False
-
-    @property
-    def engine(self) -> ClusteringEngine:
-        """The ``default`` tenant's engine (legacy single-tenant accessor)."""
-        return self.manager.get("default")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -466,7 +463,7 @@ class ClusteringServiceServer:
                 return 200, raw, {}
             if path.startswith("/v1/"):
                 return self._dispatch_v1(method, path, body, query)
-            return self._dispatch_legacy(method, path, body)
+            return 404, error_envelope("not_found", f"no route for {path}"), {}
         except BadRequest as exc:
             return 400, error_envelope("bad_request", str(exc)), {}
         except UnknownTenantError as exc:
@@ -603,54 +600,6 @@ class ClusteringServiceServer:
                 return self._method_not_allowed(method, path)
         return 404, error_envelope("not_found", f"no route for {path}"), {}
 
-    def _dispatch_legacy(self, method: str, path: str, body: bytes) -> Response:
-        """The five pre-v1 routes, mapped to the ``default`` tenant.
-
-        Deprecated — response shapes (flat ``{"error": "..."}`` strings,
-        503 backpressure) are frozen for one release so existing clients
-        keep working; the ``Deprecation`` header marks every answer.
-        """
-        deprecated = {"Deprecation": "true"}
-        try:
-            if path == "/healthz" and method == "GET":
-                return 200, self._healthz_legacy(), deprecated
-            if path == "/stats" and method == "GET":
-                return 200, self.manager.get("default").stats(), deprecated
-            if path.startswith("/cluster/") and method == "GET":
-                engine = self.manager.get("default")
-                # frozen pre-v1 semantics: the token is read verbatim (no
-                # ~ unescaping, no percent-decoding), ints collapsed
-                document = self._cluster_of(
-                    engine, path[len("/cluster/"):], unescape=False
-                )
-                return 200, document, deprecated
-            if path == "/updates" and method == "POST":
-                engine = self.manager.get("default")
-                updates = decode_updates(_parse_json(body))
-                accepted = engine.submit_many(updates, block=False)
-                document: Dict[str, object] = {
-                    "accepted": accepted,
-                    "submitted": len(updates),
-                }
-                if accepted < len(updates):
-                    document["error"] = "backpressure"
-                    return 503, document, deprecated
-                return 200, document, deprecated
-            if path == "/group-by" and method == "POST":
-                engine = self.manager.get("default")
-                return 200, self._group_by(engine, _parse_json(body)), deprecated
-            if path in ("/healthz", "/stats", "/updates", "/group-by") or path.startswith(
-                "/cluster/"
-            ):
-                return 405, {"error": f"method {method} not allowed for {path}"}, deprecated
-            return 404, {"error": f"no route for {path}"}, deprecated
-        except BadRequest as exc:
-            return 400, {"error": str(exc)}, deprecated
-        except UnknownTenantError as exc:
-            return 404, {"error": f"legacy routes need the default tenant: {exc}"}, deprecated
-        except EngineError as exc:
-            return 503, {"error": f"engine unavailable: {exc}"}, deprecated
-
     def _method_not_allowed(self, method: str, path: str) -> Response:
         return (
             405,
@@ -710,15 +659,6 @@ class ClusteringServiceServer:
             "version": repro.__version__,
             "api": "v1",
             **self.manager.aggregate(),
-        }
-
-    def _healthz_legacy(self) -> Dict[str, object]:
-        engine = self.manager.get("default")
-        return {
-            "status": "ok" if engine.running else "idle",
-            "version": repro.__version__,
-            "view_version": engine.view().version,
-            "applied": engine.applied,
         }
 
     def _points_at_self(self, replica_of: str) -> bool:
@@ -868,13 +808,15 @@ class ClusteringServiceServer:
         self,
         engine: ClusteringEngine,
         raw: str,
-        unescape: bool = True,
         view: Optional[object] = None,
         as_of: Optional[object] = None,
     ) -> Dict[str, object]:
         if not raw:
             raise BadRequest("missing vertex identifier")
-        vertex = parse_vertex_token(raw, unescape=unescape)
+        try:
+            vertex = parse_vertex_token(raw)
+        except UpdateLogError as exc:
+            raise BadRequest(str(exc)) from None
         if view is None:
             view = engine.view()
         start = _now()

@@ -76,26 +76,34 @@ class TestFormatting:
         parsed = parse_update_line(format_update(tilded))
         assert parsed == tilded
 
-    def test_v1_header_log_reads_tokens_verbatim(self, tmp_path):
-        """A pre-escape (v1-headered) log must not have '~' stripped."""
+    def test_v1_header_log_is_refused(self, tmp_path):
+        """A pre-escape (v1-headered) log is refused, never misread as v2."""
         path = tmp_path / "old.log"
         path.write_text(
             "# repro-update-log v1\n+ ~x alice\n+ 1 2\n", encoding="utf-8"
         )
-        reader = UpdateLogReader(path)
-        assert reader.read_all() == [
-            Update.insert("~x", "alice"),
-            Update.insert(1, 2),
-        ]
+        for tolerate in (False, True):
+            with pytest.raises(UpdateLogError, match="old.log.*v1-format"):
+                UpdateLogReader(path, tolerate_torn_tail=tolerate).read_all()
 
     def test_append_to_v1_log_is_refused(self, tmp_path):
         """Splicing v2 (~-escaped) entries into a v1 log would corrupt it."""
         path = tmp_path / "old.log"
         path.write_text("# repro-update-log v1\n+ 1 2\n", encoding="utf-8")
+        before = path.read_bytes()
         with pytest.raises(UpdateLogError, match="v1-format"):
             UpdateLogWriter(path, append=True)
-        # the log itself is untouched and still readable
-        assert UpdateLogReader(path).read_all() == [Update.insert(1, 2)]
+        # the refused append left the file's bytes exactly as they were
+        assert path.read_bytes() == before
+
+    def test_bare_escape_token_names_no_vertex(self):
+        """Regression: a lone '~' used to parse as the empty-string vertex."""
+        from repro.persistence.updatelog import parse_vertex_token
+
+        with pytest.raises(UpdateLogError, match="names no vertex"):
+            parse_vertex_token("~")
+        with pytest.raises(UpdateLogError, match="line 7"):
+            parse_update_line("+ ~ 5", 7)
 
     def test_token_codec_round_trips_every_identifier_shape(self):
         from repro.persistence.updatelog import format_vertex_token, parse_vertex_token

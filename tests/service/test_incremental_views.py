@@ -3,12 +3,10 @@
 Covers the :class:`PersistentMap` copy-on-write substrate, the
 :meth:`ClusteringView.patched` algorithm (attach/detach, merges, splits,
 and every fallback-to-full condition), and the engine integration (mode
-counters, the ``incremental_views`` escape hatch, stats exposure).
+counters, the full-capture fallback backend, stats exposure).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.config import StrCluParams
 from repro.core.dynelm import Update
@@ -216,17 +214,6 @@ class TestEngineIntegration:
         assert capture["flip_set_size"]["count"] > 0
         assert capture["flip_set_size"]["max"] >= 1
 
-    def test_incremental_views_can_be_disabled(self):
-        config = EngineConfig(
-            batch_size=4, incremental_views=False
-        )
-        with ClusteringEngine(PARAMS, config=config) as engine:
-            for u, v in TWO_TRIANGLES:
-                engine.submit(Update.insert(u, v))
-            assert engine.flush(timeout=10)
-            assert engine.metrics.get("view_capture_incremental") == 0
-            assert engine.metrics.get("view_capture_full") > 0
-
     def test_fallback_backend_publishes_full_captures(self):
         config = EngineConfig(batch_size=4)
         with ClusteringEngine(PARAMS, config=config, backend="scan-exact") as engine:
@@ -238,7 +225,3 @@ class TestEngineIntegration:
             assert {frozenset(g) for g in engine.group_by([1, 2, 3]).as_sets()} == {
                 frozenset({1, 2, 3})
             }
-
-    def test_view_rebuild_fraction_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(view_rebuild_fraction=1.5)

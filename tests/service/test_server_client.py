@@ -104,12 +104,14 @@ class TestRoutes:
             client._expect_ok("GET", "/nope")
         assert excinfo.value.status == 404
         with pytest.raises(ServiceError) as excinfo:
-            client._expect_ok("GET", "/updates")
+            client._expect_ok("GET", "/v1/tenants/default/updates")
         assert excinfo.value.status == 405
 
     def test_bad_json_body(self, service):
         _engine, client = service
-        status, document, _headers = client._request("POST", "/group-by", payload=None)
+        status, document, _headers = client._request(
+            "POST", "/v1/tenants/default/group-by", payload=None
+        )
         # no body at all: the server answers 400, not a connection error
         assert status == 400
         assert "error" in document

@@ -2,8 +2,8 @@
 
 Covers the versioned routes (tenant admin + the four per-tenant routes),
 the structured error envelope, 429 backpressure with Retry-After, tenant
-isolation over the wire, and the legacy unversioned routes' mapping to the
-``default`` tenant.
+isolation over the wire, and the 404 every unversioned path (the removed
+pre-v1 routes included) now answers.
 """
 
 from __future__ import annotations
@@ -246,17 +246,15 @@ class TestLosslessVertexTokens:
         assert client.cluster_of("café") != []
         assert client.cluster_of("café") == client.cluster_of("tōkyō")
 
-    def test_legacy_cluster_route_keeps_verbatim_tokens(self, service):
-        """Frozen pre-v1 semantics: no ~ unescaping on /cluster/{v}."""
-        manager, background, client = service
-        client.submit_updates(
-            [Update.insert("~z", "~w"), Update.insert("~w", "~q"), Update.insert("~z", "~q")]
-        )
-        manager.get("default").flush(timeout=10)
-        status, _headers, document = _raw(background, "GET", "/cluster/~z")
-        assert status == 200
-        assert document["vertex"] == "~z"
-        assert document["clusters"] != []
+    def test_bare_escape_token_is_a_400(self, service):
+        """Regression: a lone '~' used to answer 200 for the vertex ""."""
+        _manager, background, _client = service
+        for token in ("~", "%7E"):
+            status, _headers, document = _raw(
+                background, "GET", f"/v1/tenants/default/cluster/{token}"
+            )
+            assert status == 400
+            assert document["error"]["code"] == "bad_request"
 
     def test_cluster_route_accepts_slash_bearing_string_ids(self, service):
         """Any WAL-legal identifier is addressable, '/' included."""
@@ -295,61 +293,24 @@ class TestEngineUnavailable503:
             client.close()
 
 
-class TestLegacyRoutes:
-    def test_legacy_routes_serve_default_tenant(self, service):
+class TestUnversionedPaths:
+    def test_pre_v1_routes_are_not_found(self, service):
+        """The removed pre-v1 routes fall through to the v1 404 envelope."""
         manager, background, client = service
-        status, headers, document = _raw(
-            background, "POST", "/updates", {"updates": [["+", 1, 2], ["+", 2, 3], ["+", 1, 3]]}
-        )
-        assert status == 200
-        assert document == {"accepted": 3, "submitted": 3}
-        assert headers.get("Deprecation") == "true"
+        for method, path, payload in (
+            ("POST", "/updates", {"updates": [["+", 1, 2], ["+", 2, 3], ["+", 1, 3]]}),
+            ("POST", "/group-by", {"vertices": [1, 2, 3]}),
+            ("GET", "/cluster/1", None),
+            ("GET", "/stats", None),
+            ("GET", "/healthz", None),
+        ):
+            status, headers, document = _raw(background, method, path, payload)
+            assert status == 404, path
+            assert document["error"]["code"] == "not_found"
+            assert "Deprecation" not in headers
+        # and the POSTs reached no tenant
         manager.get("default").flush(timeout=10)
-
-        status, _headers, document = _raw(background, "GET", "/stats")
-        assert status == 200
-        assert document["applied"] == 3
-
-        status, _headers, document = _raw(
-            background, "POST", "/group-by", {"vertices": [1, 2, 3]}
-        )
-        assert status == 200
-        assert sorted(document["groups"].values()) == [[1, 2, 3]]
-
-        status, _headers, document = _raw(background, "GET", "/cluster/1")
-        assert status == 200
-        assert document["clusters"] != []
-
-        status, _headers, document = _raw(background, "GET", "/healthz")
-        assert status == 200
-        assert document["view_version"] == 3
-        # and the v1 surface sees the same state
-        assert client.stats()["applied"] == 3
-
-    def test_legacy_backpressure_stays_503_flat(self):
-        engine = ClusteringEngine(PARAMS, config=EngineConfig(queue_capacity=2))
-        try:
-            with BackgroundServer(engine) as background:
-                status, _headers, document = _raw(
-                    background,
-                    "POST",
-                    "/updates",
-                    {"updates": [["+", i, i + 1] for i in range(5)]},
-                )
-                assert status == 503
-                assert document["error"] == "backpressure"
-                assert document["accepted"] == 2
-        finally:
-            engine.close(checkpoint=False)
-
-    def test_legacy_errors_stay_flat_strings(self, service):
-        _manager, background, _client = service
-        status, _headers, document = _raw(background, "GET", "/nope")
-        assert status == 404
-        assert isinstance(document["error"], str)
-        status, _headers, document = _raw(background, "GET", "/updates")
-        assert status == 405
-        assert isinstance(document["error"], str)
+        assert client.stats()["applied"] == 0
 
 
 class TestShardedTenantsOverHTTP:
