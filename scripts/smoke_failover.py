@@ -55,7 +55,6 @@ import json
 import random
 import shutil
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -69,28 +68,12 @@ from repro.persistence.updatelog import UpdateLogReader, list_wal_segments
 from repro.service import EngineConfig, ServiceClient, ServiceError
 from repro.service.sharding import ShardedEngine
 
+from _smoke import fail, free_port, truncate_wal, wait_healthy
+
 SOLO, WIDE = "solo", "wide"
 UPDATES = 12000
 MIN_REPLICATED = 300  # positions each tenant must reach before the kill
 PROBE = [f"{tenant}:{i}" for tenant in (SOLO, WIDE) for i in range(120)]
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _fail(message: str) -> None:
-    print(f"SMOKE FAIL: {message}", file=sys.stderr)
-    raise SystemExit(1)
-
-
-def _wait_healthy(port: int, timeout: float = 20.0) -> None:
-    try:
-        ServiceClient.wait_until_healthy("127.0.0.1", port, timeout=timeout)
-    except RuntimeError as exc:
-        _fail(str(exc))
 
 
 def _serve(port: int, data_root: Path) -> subprocess.Popen:
@@ -142,7 +125,7 @@ def _loadgen(port: int) -> subprocess.Popen:
 def _standby_positions(client: ServiceClient) -> list[int]:
     block = client.stats().get("replication")
     if not isinstance(block, dict):
-        _fail(f"tenant {client.tenant!r} has no replication stats block")
+        fail(f"tenant {client.tenant!r} has no replication stats block")
     return [int(row["position"]) for row in block["shards"]]
 
 
@@ -177,29 +160,12 @@ def _solo_reference(tenant_dir: Path, position: int, probe) -> tuple:
                 replayed += 1
             cursor += 1
     if replayed != position:
-        _fail(
+        fail(
             f"primary WAL of {tenant_dir} only rebuilds to {replayed}, "
             f"but the standby acked {position}"
         )
     groups = {frozenset(group) for group in algo.group_by(probe).as_sets() if group}
     return groups, algo.graph.num_edges
-
-
-def _truncate_wal(path: Path, keep_entries: int) -> None:
-    """Rewrite a WAL keeping its header block and the first N entries."""
-    kept: list[str] = []
-    entries = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                if entries >= keep_entries or not line.endswith("\n"):
-                    continue
-                entries += 1
-            kept.append(line)
-    if entries < keep_entries:
-        _fail(f"{path} holds only {entries} entries, needed {keep_entries}")
-    path.write_text("".join(kept), encoding="utf-8")
 
 
 def _wide_reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
@@ -219,7 +185,7 @@ def _wide_reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
             base = json.loads(snapshot_path.read_text(encoding="utf-8")).get(
                 "updates_processed", 0
             )
-        _truncate_wal(shard_dir / "wal.log", position - base)
+        truncate_wal(shard_dir / "wal.log", position - base)
     engine = ShardedEngine(
         config=EngineConfig(shards=len(positions)), data_dir=copy, reconcile=False
     )
@@ -238,18 +204,18 @@ def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="failover-smoke-"))
     primary_root = tmp / "primary"
     standby_root = tmp / "standby"
-    primary_port, standby_port = _free_port(), _free_port()
+    primary_port, standby_port = free_port(), free_port()
     primary = _serve(primary_port, primary_root)
     standby = _serve(standby_port, standby_root)
     loadgen: subprocess.Popen | None = None
     try:
-        _wait_healthy(primary_port)
-        _wait_healthy(standby_port)
+        wait_healthy(primary_port, timeout=20.0)
+        wait_healthy(standby_port, timeout=20.0)
         with ServiceClient("127.0.0.1", primary_port) as admin:
             solo_row = admin.create_tenant(SOLO, shards=1)
             wide_row = admin.create_tenant(WIDE, shards=4)
             if solo_row["shards"] != 1 or wide_row["shards"] != 4:
-                _fail(f"unexpected tenant shapes: {solo_row} / {wide_row}")
+                fail(f"unexpected tenant shapes: {solo_row} / {wide_row}")
 
         standby_admin = ServiceClient("127.0.0.1", standby_port)
         solo_client = standby_admin.for_tenant(SOLO)
@@ -259,7 +225,7 @@ def main() -> int:
                 name, replica_of=f"127.0.0.1:{primary_port}"
             )
             if row.get("replica_of") != f"127.0.0.1:{primary_port}":
-                _fail(f"standby tenant {name!r} not marked as a replica: {row}")
+                fail(f"standby tenant {name!r} not marked as a replica: {row}")
 
         # --- drive the primary, kill it mid-stream ---------------------
         loadgen = _loadgen(primary_port)
@@ -273,7 +239,7 @@ def main() -> int:
                 break  # stream ended before the threshold: proceed anyway
             time.sleep(0.1)
         else:
-            _fail("standby never replicated the minimum prefix")
+            fail("standby never replicated the minimum prefix")
         mid_stream = loadgen.poll() is None
         primary.send_signal(signal.SIGKILL)
         primary.wait(timeout=30)
@@ -298,10 +264,10 @@ def main() -> int:
             previous = state
             time.sleep(0.3)
         else:
-            _fail(f"standby positions never stabilised: {previous}")
+            fail(f"standby positions never stabilised: {previous}")
         solo_positions, wide_positions = previous
         if solo_positions[0] < 1 or min(wide_positions) < 1:
-            _fail(f"nothing replicated: {previous}")
+            fail(f"nothing replicated: {previous}")
 
         # --- promote both tenants --------------------------------------
         promote_cli = subprocess.run(
@@ -320,10 +286,10 @@ def main() -> int:
             timeout=60,
         )
         if promote_cli.returncode != 0:
-            _fail(f"repro promote failed: {promote_cli.stderr}")
+            fail(f"repro promote failed: {promote_cli.stderr}")
         wide_promotion = wide_client.promote_tenant()
         if not wide_promotion.get("promoted") or wide_promotion.get("epoch", 0) < 1:
-            _fail(f"wide promotion incomplete: {wide_promotion}")
+            fail(f"wide promotion incomplete: {wide_promotion}")
 
         # --- exact cluster equivalence at the acked positions ----------
         solo_groups = _groups(solo_client.group_by_raw(PROBE))
@@ -331,13 +297,13 @@ def main() -> int:
             primary_root / SOLO, solo_positions[0], PROBE
         )
         if solo_groups != solo_reference:
-            _fail(
+            fail(
                 f"solo clustering diverged at acked position "
                 f"{solo_positions[0]}: {len(solo_groups ^ solo_reference)} "
                 "differing groups"
             )
         if solo_client.stats()["num_edges"] != solo_edges:
-            _fail(
+            fail(
                 f"solo graph diverged at acked position {solo_positions[0]}: "
                 f"standby has {solo_client.stats()['num_edges']} edges, "
                 f"reference {solo_edges}"
@@ -347,13 +313,13 @@ def main() -> int:
             primary_root / WIDE, list(wide_positions), PROBE
         )
         if wide_groups != wide_reference:
-            _fail(
+            fail(
                 f"wide clustering diverged at acked positions "
                 f"{wide_positions}: {len(wide_groups ^ wide_reference)} "
                 "differing groups"
             )
         if wide_client.stats()["num_edges"] != wide_edges:
-            _fail(
+            fail(
                 f"wide graph diverged at acked positions {wide_positions}: "
                 f"standby has {wide_client.stats()['num_edges']} edges, "
                 f"reference {wide_edges}"
@@ -375,7 +341,7 @@ def main() -> int:
             ]
             accepted = client.submit_updates(fresh, max_retries=5)
             if accepted != len(fresh):
-                _fail(f"post-promotion write shed on {name!r}: {accepted}")
+                fail(f"post-promotion write shed on {name!r}: {accepted}")
             triangle = frozenset(f"{name}:new{i}" for i in range(3))
             ingest_deadline = time.monotonic() + 20.0
             clustered = False
@@ -389,7 +355,7 @@ def main() -> int:
                         break
                 time.sleep(0.1)
             if not clustered:
-                _fail(f"post-promotion triangle never clustered on {name!r}")
+                fail(f"post-promotion triangle never clustered on {name!r}")
         print("post-promotion ingest works on both promoted tenants")
 
         solo_client.close()
@@ -444,7 +410,7 @@ class _Writer(threading.Thread):
     def pause(self) -> None:
         self._run.clear()
         if not self._idle.wait(timeout=30.0):
-            _fail(f"writer for {self.tenant!r} never went idle")
+            fail(f"writer for {self.tenant!r} never went idle")
 
     def resume(self) -> None:
         self._run.set()
@@ -553,14 +519,14 @@ def _wait_promoted(
             if doc and doc.get("role") == "primary" and not doc.get("fenced"):
                 claims.append((port, doc))
         if len(claims) > 1:
-            _fail(
+            fail(
                 f"dueling promotion for {tenant!r}: "
                 f"{sorted(port for port, _ in claims)} all claim primary"
             )
         if claims:
             return claims[0]
         time.sleep(0.25)
-    _fail(
+    fail(
         f"watchdog never promoted {tenant!r} within {PROMOTE_BUDGET}s "
         f"of killing {sorted(dead)}"
     )
@@ -570,7 +536,7 @@ def _wait_promoted(
 def _positions_of(doc: dict) -> list[int]:
     rows = sorted(doc.get("shard_positions", []), key=lambda row: row["shard"])
     if not rows:
-        _fail(f"topology document has no shard positions: {doc}")
+        fail(f"topology document has no shard positions: {doc}")
     return [int(row["position"]) for row in rows]
 
 
@@ -589,12 +555,12 @@ def _verify_cut(
     else:
         reference, ref_edges = _wide_reference(dead_root / tenant, positions, PROBE)
     if groups != reference:
-        _fail(
+        fail(
             f"{tenant} clustering diverged from the dead primary's WAL at "
             f"{positions}: {len(groups ^ reference)} differing groups"
         )
     if edges != ref_edges:
-        _fail(
+        fail(
             f"{tenant} graph diverged at {positions}: promoted standby has "
             f"{edges} edges, truncated-WAL replay has {ref_edges}"
         )
@@ -606,13 +572,13 @@ def _verify_cut(
 
 def auto_main(rounds: int, log_path: Path) -> int:
     if rounds < 1:
-        _fail(f"--auto needs at least 1 round, got {rounds}")
+        fail(f"--auto needs at least 1 round, got {rounds}")
     log_path.parent.mkdir(parents=True, exist_ok=True)
     if log_path.exists():
         log_path.unlink()
     tmp = Path(tempfile.mkdtemp(prefix="fleet-smoke-"))
     count = 1 + 2 * rounds
-    ports = [_free_port() for _ in range(count)]
+    ports = [free_port() for _ in range(count)]
     endpoints = [f"127.0.0.1:{port}" for port in ports]
     roots = {port: tmp / f"server-{port}" for port in ports}
     servers = {port: _serve(port, roots[port]) for port in ports}
@@ -620,7 +586,7 @@ def auto_main(rounds: int, log_path: Path) -> int:
     writers: list[_Writer] = []
     try:
         for port in ports:
-            _wait_healthy(port)
+            wait_healthy(port, timeout=20.0)
         head, *rest = ports
         with ServiceClient("127.0.0.1", head) as admin:
             admin.create_tenant(SOLO, shards=1)
@@ -632,7 +598,7 @@ def auto_main(rounds: int, log_path: Path) -> int:
                         name, replica_of=f"127.0.0.1:{head}"
                     )
                     if row.get("replica_of") != f"127.0.0.1:{head}":
-                        _fail(f"server {port} tenant {name!r} not a replica: {row}")
+                        fail(f"server {port} tenant {name!r} not a replica: {row}")
         print(
             f"fleet up: primary 127.0.0.1:{head}, {len(rest)} standbys, "
             f"{rounds} kill rounds planned"
@@ -653,9 +619,9 @@ def auto_main(rounds: int, log_path: Path) -> int:
                 break
             time.sleep(0.25)
         else:
-            _fail("standbys never replicated the warm-up prefix")
+            fail("standbys never replicated the warm-up prefix")
         if watchdog.poll() is not None:
-            _fail(f"watchdog died during warm-up (exit {watchdog.returncode})")
+            fail(f"watchdog died during warm-up (exit {watchdog.returncode})")
 
         # --- transient-partition round: SIGSTOP, no promotion ----------
         started_before = len(_decisions(log_path, "promotion_started"))
@@ -665,14 +631,14 @@ def auto_main(rounds: int, log_path: Path) -> int:
         time.sleep(3.0)
         started_after = len(_decisions(log_path, "promotion_started"))
         if started_after != started_before:
-            _fail(
+            fail(
                 "watchdog promoted during a sub-quorum stall: "
                 f"{started_after - started_before} promotion(s) started"
             )
         for name in (SOLO, WIDE):
             doc = _topology(head, name)
             if not doc or doc.get("role") != "primary" or doc.get("fenced"):
-                _fail(f"paused-then-resumed primary lost {name!r}: {doc}")
+                fail(f"paused-then-resumed primary lost {name!r}: {doc}")
         print("transient SIGSTOP suppressed: no promotion below the quorum")
 
         # --- kill rounds -----------------------------------------------
@@ -712,7 +678,7 @@ def auto_main(rounds: int, log_path: Path) -> int:
                         break
                     time.sleep(0.2)
                 if len(mine) != round_no:
-                    _fail(
+                    fail(
                         f"{name}: expected {round_no} promotion(s) in the "
                         f"decision log, found {len(mine)}"
                     )
@@ -737,7 +703,7 @@ def auto_main(rounds: int, log_path: Path) -> int:
                         break
                     time.sleep(0.25)
                 else:
-                    _fail(
+                    fail(
                         f"{name}: standbys {stale} never re-parented onto "
                         f"127.0.0.1:{winner_port}"
                     )
@@ -753,7 +719,7 @@ def auto_main(rounds: int, log_path: Path) -> int:
                         break
                     time.sleep(0.2)
                 else:
-                    _fail(f"{name}: no ingest after round {round_no} failover")
+                    fail(f"{name}: no ingest after round {round_no} failover")
             print(f"round {round_no}: writes flow into the new primaries")
 
         for writer in writers:
@@ -761,7 +727,7 @@ def auto_main(rounds: int, log_path: Path) -> int:
         for writer in writers:
             writer.join(timeout=30)
             if writer.accepted == 0:
-                _fail(f"writer for {writer.tenant!r} never landed a write")
+                fail(f"writer for {writer.tenant!r} never landed a write")
         print(
             "fleet smoke passed: "
             + ", ".join(

@@ -20,7 +20,6 @@ service smoke gate.  Run locally with::
 
 from __future__ import annotations
 
-import socket
 import subprocess
 import sys
 import time
@@ -28,27 +27,14 @@ import time
 from repro.cli import main as repro_main
 from repro.service import ServiceClient
 
+from _smoke import fail, free_port, wait_healthy
+
 UPDATES_PER_TENANT = 300
 TENANTS = ("alpha", "beta")
 
 
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _wait_healthy(port: int, timeout: float = 15.0) -> None:
-    ServiceClient.wait_until_healthy("127.0.0.1", port, timeout=timeout)
-
-
-def _fail(message: str) -> None:
-    print(f"SMOKE FAIL: {message}", file=sys.stderr)
-    raise SystemExit(1)
-
-
 def main() -> int:
-    port = _free_port()
+    port = free_port()
     server = subprocess.Popen(
         [
             sys.executable,
@@ -66,7 +52,7 @@ def main() -> int:
         ],
     )
     try:
-        _wait_healthy(port)
+        wait_healthy(port, timeout=15.0)
 
         # drive both tenants through the real CLI (multi-tenant load mix)
         status = repro_main(
@@ -88,7 +74,7 @@ def main() -> int:
             ]
         )
         if status != 0:
-            _fail(f"repro loadgen exited with status {status}")
+            fail(f"repro loadgen exited with status {status}")
 
         with ServiceClient("127.0.0.1", port) as admin:
             # wait for both tenants' ingest queues to drain so the asserted
@@ -102,11 +88,11 @@ def main() -> int:
             tenants = {row["tenant"]: row for row in admin.list_tenants()}
             for name in TENANTS:
                 if name not in tenants:
-                    _fail(f"tenant {name!r} missing from /v1/tenants: {sorted(tenants)}")
+                    fail(f"tenant {name!r} missing from /v1/tenants: {sorted(tenants)}")
                 if tenants[name]["applied"] <= 0:
-                    _fail(f"tenant {name!r} applied no updates: {tenants[name]}")
+                    fail(f"tenant {name!r} applied no updates: {tenants[name]}")
             if tenants["default"]["applied"] != 0:
-                _fail(f"default tenant was polluted: {tenants['default']}")
+                fail(f"default tenant was polluted: {tenants['default']}")
 
             # cross-tenant probes: each tenant queried with the *other*
             # tenant's vertex space must see nothing at all
@@ -115,10 +101,10 @@ def main() -> int:
                 client = admin.for_tenant(mine)
                 own = client.group_by([f"{mine}:{v}" for v in probe_ids])
                 if not own.groups:
-                    _fail(f"tenant {mine!r} sees none of its own vertices")
+                    fail(f"tenant {mine!r} sees none of its own vertices")
                 leaked = client.group_by([f"{other}:{v}" for v in probe_ids])
                 if leaked.groups:
-                    _fail(
+                    fail(
                         f"isolation violated: tenant {mine!r} sees "
                         f"{other!r}'s vertices: {leaked.groups}"
                     )

@@ -15,7 +15,11 @@ The CI counterpart of the observability surface's two promises:
 4. pick one traced id off the primary's span ring and assert the *same*
    id is observable at every hop: ``http.request`` → ``router.route`` →
    ``shard.apply`` on the primary, and — in the standby's own process,
-   having ridden beside the WAL records — ``standby.replay``.
+   having ridden beside the WAL records — ``standby.replay``;
+5. once the standby reports zero lag, scrape *its* ``/metrics``: every
+   tenant row carries ``role="standby"``, ``repro_replication_lag`` is
+   present, and the ``router`` row's applied position equals the
+   standby's ``applied``.
 
 Exits non-zero (with a diagnostic) on any violation.  Run locally with::
 
@@ -24,7 +28,6 @@ Exits non-zero (with a diagnostic) on any violation.  Run locally with::
 
 from __future__ import annotations
 
-import socket
 import subprocess
 import sys
 import tempfile
@@ -33,24 +36,11 @@ import time
 from repro.cli import main as repro_main
 from repro.service import ServiceClient, parse_prometheus_text
 
+from _smoke import fail, free_port, wait_healthy
+
 TENANT = "t"
 SHARDS = 4
 UPDATES = 300
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _wait_healthy(port: int, timeout: float = 15.0) -> None:
-    ServiceClient.wait_until_healthy("127.0.0.1", port, timeout=timeout)
-
-
-def _fail(message: str) -> None:
-    print(f"SMOKE FAIL: {message}", file=sys.stderr)
-    raise SystemExit(1)
 
 
 def _serve(port: int, data_root: str) -> subprocess.Popen:
@@ -69,9 +59,9 @@ def _check_metrics(admin: ServiceClient) -> None:
     try:
         types, samples = parse_prometheus_text(text)
     except ValueError as exc:
-        _fail(f"/metrics failed strict parsing: {exc}")
+        fail(f"/metrics failed strict parsing: {exc}")
     if types.get("repro_ingest_latency_seconds") != "histogram":
-        _fail(f"missing histogram TYPE line; got {sorted(types)}")
+        fail(f"missing histogram TYPE line; got {sorted(types)}")
 
     batch_counts = {
         s.labels["shard"]: s.value
@@ -81,7 +71,7 @@ def _check_metrics(admin: ServiceClient) -> None:
     }
     for shard in map(str, range(SHARDS)):
         if batch_counts.get(shard, 0) <= 0:
-            _fail(f"shard {shard} recorded no ingest batches: {batch_counts}")
+            fail(f"shard {shard} recorded no ingest batches: {batch_counts}")
 
     stage_buckets = {}
     for s in samples:
@@ -97,7 +87,7 @@ def _check_metrics(admin: ServiceClient) -> None:
         stages = {stage for (s, stage), v in stage_buckets.items()
                   if s == shard and v > 0}
         if stages != expected_stages:
-            _fail(
+            fail(
                 f"shard {shard} missing stage samples: have {sorted(stages)}, "
                 f"want {sorted(expected_stages)}"
             )
@@ -119,7 +109,7 @@ def _check_tracing(admin: ServiceClient, standby_admin: ServiceClient) -> None:
         if {"http.request", "router.route", "shard.apply"} <= names
     ]
     if not full:
-        _fail(f"no trace crossed http.request→router→shard: {candidates}")
+        fail(f"no trace crossed http.request→router→shard: {candidates}")
 
     # the same ids must surface in the standby process once replay catches
     # up — they travelled beside the WAL records, not in this process
@@ -138,22 +128,55 @@ def _check_tracing(admin: ServiceClient, standby_admin: ServiceClient) -> None:
                 )
                 return
         time.sleep(0.3)
-    _fail(f"no standby.replay span for any of {len(full)} full traces")
+    fail(f"no standby.replay span for any of {len(full)} full traces")
+
+
+def _check_standby_metrics(standby_admin: ServiceClient) -> None:
+    # scrape once replay has caught up and the position held still across
+    # the scrape; every row must say standby, and the router row carries
+    # the tenant's applied position (replay bypasses the router)
+    with standby_admin.for_tenant(TENANT) as client:
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            before = client.stats()
+            if before["replication"]["lag"] == 0:
+                _types, samples = parse_prometheus_text(
+                    standby_admin.metrics_text()
+                )
+                if client.stats()["applied"] == before["applied"]:
+                    break
+            time.sleep(0.2)
+        else:
+            fail("standby never caught up with the primary within 30 s")
+    applied = before["applied"]
+    rows = [s for s in samples if s.labels.get("tenant") == TENANT]
+    roles = {s.labels["role"] for s in rows}
+    if roles != {"standby"}:
+        fail(f"standby /metrics rows carry roles {sorted(roles)}")
+    if not any(s.name == "repro_replication_lag" for s in rows):
+        fail("standby /metrics has no repro_replication_lag sample")
+    router = [
+        s.value for s in rows
+        if s.name == "repro_applied_position" and s.labels["shard"] == "router"
+    ]
+    if router != [applied]:
+        fail(f"standby router row reads {router}, stats applied is {applied}")
+    print(f"standby metrics OK: router row at applied position {applied}")
 
 
 def main() -> int:
-    primary_port, standby_port = _free_port(), _free_port()
+    primary_port, standby_port = free_port(), free_port()
     with tempfile.TemporaryDirectory(prefix="smoke-obs-") as root:
         primary = _serve(primary_port, f"{root}/primary")
         standby = _serve(standby_port, f"{root}/standby")
         try:
-            _wait_healthy(primary_port)
-            _wait_healthy(standby_port)
+            wait_healthy(primary_port, timeout=15.0)
+            wait_healthy(standby_port, timeout=15.0)
             with ServiceClient("127.0.0.1", primary_port) as admin, \
                     ServiceClient("127.0.0.1", standby_port) as standby_admin:
                 row = admin.create_tenant(TENANT, shards=SHARDS)
                 if row["shards"] != SHARDS:
-                    _fail(f"unexpected tenant shape: {row}")
+                    fail(f"unexpected tenant shape: {row}")
                 standby_admin.create_tenant(
                     TENANT, replica_of=f"127.0.0.1:{primary_port}"
                 )
@@ -171,7 +194,7 @@ def main() -> int:
                     ]
                 )
                 if status != 0:
-                    _fail(f"repro loadgen exited with status {status}")
+                    fail(f"repro loadgen exited with status {status}")
 
                 # drain: applied stable across two polls
                 deadline = time.monotonic() + 60.0
@@ -188,10 +211,11 @@ def main() -> int:
                     previous = state
                     time.sleep(0.2)
                 if not drained:
-                    _fail(f"ingest never drained within 60 s: {previous}")
+                    fail(f"ingest never drained within 60 s: {previous}")
 
                 _check_metrics(admin)
                 _check_tracing(admin, standby_admin)
+                _check_standby_metrics(standby_admin)
         finally:
             for proc in (standby, primary):
                 proc.terminate()
@@ -200,7 +224,7 @@ def main() -> int:
                     proc.wait(timeout=10)
                 except subprocess.TimeoutExpired:
                     proc.kill()
-    print("SMOKE OK: metrics exposition + end-to-end tracing")
+    print("SMOKE OK: metrics exposition (primary + standby) + end-to-end tracing")
     return 0
 
 

@@ -23,7 +23,6 @@ sharded smoke gate.  Run locally with::
 
 from __future__ import annotations
 
-import socket
 import subprocess
 import sys
 import time
@@ -31,24 +30,11 @@ import time
 from repro.cli import main as repro_main
 from repro.service import ServiceClient
 
+from _smoke import fail, free_port, wait_healthy
+
 UPDATES = 400
 FLAT, WIDE = "flat", "wide"
 PROBE = list(range(1005))
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _wait_healthy(port: int, timeout: float = 15.0) -> None:
-    ServiceClient.wait_until_healthy("127.0.0.1", port, timeout=timeout)
-
-
-def _fail(message: str) -> None:
-    print(f"SMOKE FAIL: {message}", file=sys.stderr)
-    raise SystemExit(1)
 
 
 def _drive(port: int, tenant: str) -> None:
@@ -70,11 +56,11 @@ def _drive(port: int, tenant: str) -> None:
         ]
     )
     if status != 0:
-        _fail(f"repro loadgen against {tenant!r} exited with status {status}")
+        fail(f"repro loadgen against {tenant!r} exited with status {status}")
 
 
 def main() -> int:
-    port = _free_port()
+    port = free_port()
     server = subprocess.Popen(
         [
             sys.executable,
@@ -92,12 +78,12 @@ def main() -> int:
         ],
     )
     try:
-        _wait_healthy(port)
+        wait_healthy(port, timeout=15.0)
         with ServiceClient("127.0.0.1", port) as admin:
             flat_row = admin.create_tenant(FLAT, shards=1)
             wide_row = admin.create_tenant(WIDE, shards=4)
             if flat_row["shards"] != 1 or wide_row["shards"] != 4:
-                _fail(f"unexpected tenant shapes: {flat_row} / {wide_row}")
+                fail(f"unexpected tenant shapes: {flat_row} / {wide_row}")
 
             # identical streams into both engine shapes
             _drive(port, FLAT)
@@ -126,7 +112,7 @@ def main() -> int:
                 previous = state
                 time.sleep(0.2)
             if not drained:
-                _fail(f"ingest never drained within 60 s: {previous}")
+                fail(f"ingest never drained within 60 s: {previous}")
             # the sharded tenant's `applied` counts *routed* updates, so a
             # final batch can still be mid-apply: wait (on a fresh budget)
             # until its published per-shard view versions are stable
@@ -144,17 +130,17 @@ def main() -> int:
                 time.sleep(0.2)
             wide_probe.close()
             if not stable:
-                _fail(f"wide tenant's shard versions never stabilised: {versions}")
+                fail(f"wide tenant's shard versions never stabilised: {versions}")
             rows = {row["tenant"]: row for row in admin.list_tenants()}
 
             # --- cluster-equivalence -----------------------------------
             if rows[FLAT]["applied"] != rows[WIDE]["applied"]:
-                _fail(
+                fail(
                     f"applied counts diverge: flat={rows[FLAT]['applied']} "
                     f"wide={rows[WIDE]['applied']}"
                 )
             if rows[FLAT]["applied"] <= 0:
-                _fail("no updates were applied")
+                fail("no updates were applied")
             flat = admin.for_tenant(FLAT)
             wide = admin.for_tenant(WIDE)
             flat_groups = {
@@ -166,7 +152,7 @@ def main() -> int:
             if flat_groups != wide_groups:
                 only_flat = flat_groups - wide_groups
                 only_wide = wide_groups - flat_groups
-                _fail(
+                fail(
                     "cluster-equivalence violated: "
                     f"{len(only_flat)} groups only in flat, "
                     f"{len(only_wide)} only in wide"
@@ -174,26 +160,26 @@ def main() -> int:
             flat_stats, wide_stats = flat.stats(), wide.stats()
             for key in ("clusters", "cores", "hubs", "noise", "num_edges"):
                 if flat_stats[key] != wide_stats[key]:
-                    _fail(
+                    fail(
                         f"stats diverge on {key!r}: "
                         f"flat={flat_stats[key]} wide={wide_stats[key]}"
                     )
 
             # --- shape and isolation -----------------------------------
             if wide_stats.get("num_shards") != 4:
-                _fail(f"wide tenant lost its shards: {wide_stats.get('num_shards')}")
+                fail(f"wide tenant lost its shards: {wide_stats.get('num_shards')}")
             shard_rows = wide_stats.get("shards", [])
             if [row.get("shard") for row in shard_rows] != [0, 1, 2, 3]:
-                _fail(f"per-shard stats rows malformed: {shard_rows}")
+                fail(f"per-shard stats rows malformed: {shard_rows}")
             health = admin.healthz()
             depths = health.get("shards", {}).get("queue_depths", {})
             if WIDE not in depths or len(depths[WIDE]) != 4:
-                _fail(f"healthz lacks per-shard depths for wide: {health}")
+                fail(f"healthz lacks per-shard depths for wide: {health}")
             if rows["default"]["applied"] != 0:
-                _fail(f"default tenant was polluted: {rows['default']}")
+                fail(f"default tenant was polluted: {rows['default']}")
             default_probe = admin.group_by(PROBE[:200])
             if default_probe.groups:
-                _fail(f"isolation violated: default sees {default_probe.groups}")
+                fail(f"isolation violated: default sees {default_probe.groups}")
             flat.close()
             wide.close()
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import shutil
-import socket
 import subprocess
 import sys
 import tempfile
@@ -45,28 +44,12 @@ from repro.persistence.updatelog import UpdateLogReader, list_wal_segments
 from repro.service import EngineConfig, ServiceClient, ServiceError
 from repro.service.sharding import ShardedEngine
 
+from _smoke import fail, free_port, truncate_wal, wait_healthy
+
 SOLO, WIDE = "solo", "wide"
 UPDATES = 6000
 CHECKPOINT_EVERY = 150
 PROBE = [f"{tenant}:{i}" for tenant in (SOLO, WIDE) for i in range(120)]
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _fail(message: str) -> None:
-    print(f"SMOKE FAIL: {message}", file=sys.stderr)
-    raise SystemExit(1)
-
-
-def _wait_healthy(port: int, timeout: float = 20.0) -> None:
-    try:
-        ServiceClient.wait_until_healthy("127.0.0.1", port, timeout=timeout)
-    except RuntimeError as exc:
-        _fail(str(exc))
 
 
 def _serve(port: int, data_root: Path) -> subprocess.Popen:
@@ -137,7 +120,7 @@ def _solo_reference(tenant_dir: Path, position: int, probe) -> tuple:
         if anchor.position <= position
     ]
     if not anchors:
-        _fail(f"no retained snapshot anchor at or below {position} in {tenant_dir}")
+        fail(f"no retained snapshot anchor at or below {position} in {tenant_dir}")
     snapshot = load_snapshot(anchors[-1].path)
     algo = restore_dynstrclu(snapshot)
     replayed = snapshot.updates_processed
@@ -152,29 +135,12 @@ def _solo_reference(tenant_dir: Path, position: int, probe) -> tuple:
                 replayed += 1
             cursor += 1
     if replayed != position:
-        _fail(
+        fail(
             f"offline WAL replay of {tenant_dir} only rebuilds to {replayed}, "
             f"asked for {position}"
         )
     groups = {frozenset(group) for group in algo.group_by(probe).as_sets() if group}
     return groups, algo.graph.num_edges
-
-
-def _truncate_wal(path: Path, keep_entries: int) -> None:
-    """Rewrite a WAL keeping its header block and the first N entries."""
-    kept: list[str] = []
-    entries = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                if entries >= keep_entries or not line.endswith("\n"):
-                    continue
-                entries += 1
-            kept.append(line)
-    if entries < keep_entries:
-        _fail(f"{path} holds only {entries} entries, needed {keep_entries}")
-    path.write_text("".join(kept), encoding="utf-8")
 
 
 def _wide_reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
@@ -189,7 +155,7 @@ def _wide_reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
             base = json.loads(snapshot_path.read_text(encoding="utf-8")).get(
                 "updates_processed", 0
             )
-        _truncate_wal(shard_dir / "wal.log", position - base)
+        truncate_wal(shard_dir / "wal.log", position - base)
     engine = ShardedEngine(
         config=EngineConfig(shards=len(positions)), data_dir=copy, reconcile=False
     )
@@ -208,18 +174,18 @@ def _wide_reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="timetravel-smoke-"))
     data_root = tmp / "data"
-    port = _free_port()
+    port = free_port()
     server = _serve(port, data_root)
     loadgen: subprocess.Popen | None = None
     try:
-        _wait_healthy(port)
+        wait_healthy(port, timeout=20.0)
         admin = ServiceClient("127.0.0.1", port)
         solo_client = admin.for_tenant(SOLO)
         wide_client = admin.for_tenant(WIDE)
         solo_row = admin.create_tenant(SOLO, shards=1)
         wide_row = admin.create_tenant(WIDE, shards=4)
         if solo_row["shards"] != 1 or wide_row["shards"] != 4:
-            _fail(f"unexpected tenant shapes: {solo_row} / {wide_row}")
+            fail(f"unexpected tenant shapes: {solo_row} / {wide_row}")
 
         # --- drive the service, recording positions mid-run -------------
         loadgen = _loadgen(port)
@@ -230,10 +196,10 @@ def main() -> int:
                 recorded.append(applied)
             time.sleep(0.25)
         if loadgen.wait(timeout=60) != 0:
-            _fail("repro loadgen exited non-zero")
+            fail("repro loadgen exited non-zero")
         loadgen = None
         if not recorded:
-            _fail("no positions were recorded mid-run")
+            fail("no positions were recorded mid-run")
 
         # let the tail of the stream drain (positions stabilise)
         deadline = time.monotonic() + 30.0
@@ -253,7 +219,7 @@ def main() -> int:
         horizon = stats["wal"]
         oldest = int(horizon["oldest_replayable"])
         if horizon["durable"] is not True or horizon["segments"] < 1:
-            _fail(f"solo horizon looks wrong: {horizon}")
+            fail(f"solo horizon looks wrong: {horizon}")
         replayable = [p for p in recorded if oldest <= p < solo_applied]
         positions = sorted(set(replayable))[-3:]
         while len(positions) < 3:  # thin recording: synthesise nearby cuts
@@ -261,17 +227,17 @@ def main() -> int:
         for position in sorted(set(positions)):
             document = solo_client.group_by_raw(PROBE, as_of=position)
             if document["view_version"] != position or document["as_of"] != [position]:
-                _fail(f"as_of={position} answered {document['view_version']}")
+                fail(f"as_of={position} answered {document['view_version']}")
             reference, edges = _solo_reference(data_root / SOLO, position, PROBE)
             if _groups(document) != reference:
-                _fail(
+                fail(
                     f"solo as_of={position} diverged from the offline "
                     f"truncated-WAL replay: "
                     f"{len(_groups(document) ^ reference)} differing groups"
                 )
             historical_stats = solo_client.stats(as_of=position)
             if historical_stats["num_edges"] != edges:
-                _fail(
+                fail(
                     f"solo as_of={position} graph diverged: view has "
                     f"{historical_stats['num_edges']} edges, reference {edges}"
                 )
@@ -280,7 +246,7 @@ def main() -> int:
         latest = solo_client.group_by_raw(PROBE, as_of="latest")
         live = solo_client.group_by_raw(PROBE)
         if latest["as_of"] != "latest" or _groups(latest) != _groups(live):
-            _fail("as_of=latest does not serve the live view")
+            fail("as_of=latest does not serve the live view")
         print("solo as_of=latest serves the live view")
 
         # --- LRU: a repeated query must not replay again -----------------
@@ -289,9 +255,9 @@ def main() -> int:
         solo_client.group_by_raw(PROBE, as_of=repeat)
         after = solo_client.stats()["timetravel"]
         if after["hits"] <= before["hits"]:
-            _fail(f"repeated as_of={repeat} was not an LRU hit: {before} -> {after}")
+            fail(f"repeated as_of={repeat} was not an LRU hit: {before} -> {after}")
         if after["replay"]["count"] != before["replay"]["count"]:
-            _fail(f"repeated as_of={repeat} re-replayed: {before} -> {after}")
+            fail(f"repeated as_of={repeat} re-replayed: {before} -> {after}")
         print(
             f"LRU serves repeats without replaying "
             f"(hits {after['hits']}, replays {after['replay']['count']})"
@@ -299,16 +265,16 @@ def main() -> int:
 
         # --- pruned history answers a structured 410 ---------------------
         if oldest <= 1:
-            _fail(f"retention never pruned (oldest replayable {oldest}); "
+            fail(f"retention never pruned (oldest replayable {oldest}); "
                   "the 410 path was not exercised")
         try:
             solo_client.group_by_raw(PROBE, as_of=1)
-            _fail("as_of=1 below the horizon did not fail")
+            fail("as_of=1 below the horizon did not fail")
         except ServiceError as exc:
             if exc.status != 410 or exc.code != "as_of_unavailable":
-                _fail(f"expected 410 as_of_unavailable, got {exc.status} {exc.code}")
+                fail(f"expected 410 as_of_unavailable, got {exc.status} {exc.code}")
             if exc.document.get("oldest_position") != oldest:
-                _fail(f"410 oldest_position {exc.document.get('oldest_position')} "
+                fail(f"410 oldest_position {exc.document.get('oldest_position')} "
                       f"!= horizon {oldest}")
         print(f"pruned history answers 410 with oldest_position={oldest}")
 
@@ -322,7 +288,7 @@ def main() -> int:
             Update.insert(f"{WIDE}:new0", f"{WIDE}:new2"),
         ]
         if wide_client.submit_updates(fresh, max_retries=5) != len(fresh):
-            _fail("post-run writes to the wide tenant were shed")
+            fail("post-run writes to the wide tenant were shed")
         write_deadline = time.monotonic() + 20.0
         while time.monotonic() < write_deadline:
             rows = [int(row["applied"]) for row in wide_client.stats()["shards"]]
@@ -330,13 +296,13 @@ def main() -> int:
                 break
             time.sleep(0.1)
         else:
-            _fail("post-run wide writes never applied")
+            fail("post-run wide writes never applied")
         document = wide_client.group_by_raw(PROBE, as_of=tuple_positions)
         reference, edges = _wide_reference(
             data_root / WIDE, tuple_positions, PROBE
         )
         if _groups(document) != reference:
-            _fail(
+            fail(
                 f"wide as_of={tuple_positions} diverged from the truncated "
                 f"recovery: {len(_groups(document) ^ reference)} differing groups"
             )

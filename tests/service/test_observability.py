@@ -364,6 +364,79 @@ def test_trace_id_spans_router_shard_and_standby(
             client.close()
 
 
+# ----------------------------------------------------------------------
+# one /metrics + /topology contract over every tenant-engine shape
+# ----------------------------------------------------------------------
+#: shape -> (primary shard count, replicate?, promote the standby?)
+ENGINE_SHAPES = {
+    "primary": (1, False, False),
+    "primary-4": (4, False, False),
+    "standby": (1, True, False),
+    "standby-2": (2, True, False),
+    "promoted": (1, True, True),
+}
+
+
+def _wait(predicate, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not predicate():
+        time.sleep(0.02)
+    return predicate()
+
+
+@pytest.mark.parametrize("shape", list(ENGINE_SHAPES))
+def test_engine_shape_surface(tmp_path, shape):
+    shards, replicate, promote = ENGINE_SHAPES[shape]
+    primary, replica = _replicated_stack(tmp_path, shards)
+    updates = [Update.insert(i, i + 1) for i in range(40)]
+    with primary, replica, BackgroundServer(primary) as primary_server:
+        primary.get("t").submit_many(updates)
+        primary.get("t").flush()
+        manager = primary
+        if replicate:
+            replica.create("t", replica_of=f"127.0.0.1:{primary_server.port}")
+            standby = replica.get("t")
+            assert _wait(lambda: standby.applied == len(updates))
+            if promote:
+                replica.promote("t")
+            manager = replica
+        engine = manager.get("t")
+        inner = engine.engine if replicate else engine
+        writers = inner.shards if shards > 1 else [inner]
+        with BackgroundServer(manager) as server:
+            client = ServiceClient("127.0.0.1", server.port, tenant="t")
+            _types, samples = parse_prometheus_text(client.metrics_text())
+            topology = client.topology()
+            client.close()
+    rows = [s for s in samples if s.labels.get("tenant") == "t"]
+    role = "standby" if replicate and not promote else "primary"
+    assert {s.labels["role"] for s in rows} == {role}
+    applied = {
+        s.labels["shard"]: s.value
+        for s in rows
+        if s.name == "repro_applied_position"
+    }
+    expected_labels = {str(index) for index in range(shards)}
+    if shards > 1:
+        expected_labels.add("router")
+        # the router row is the tenant's front engine: its position is
+        # the tenant's, also on a standby that replays into the shards
+        assert applied["router"] == engine.applied == len(updates)
+    assert set(applied) == expected_labels
+    for index, writer in enumerate(writers):
+        assert applied[str(index)] == writer.applied
+
+    def tenant_gauge(name):
+        return [s.value for s in rows if s.name == name]
+
+    assert tenant_gauge("repro_epoch") == [1 if promote else 0]
+    assert tenant_gauge("repro_fenced") == [0]
+    assert len(tenant_gauge("repro_replication_lag")) == (1 if replicate else 0)
+    assert [
+        (row["shard"], row["position"]) for row in topology["shard_positions"]
+    ] == [(index, writer.applied) for index, writer in enumerate(writers)]
+
+
 def test_untraced_requests_do_not_record_apply_spans(tmp_path):
     obs.get_tracer().clear()
     manager = EngineManager(

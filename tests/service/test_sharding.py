@@ -111,6 +111,24 @@ class TestMakeEngine:
         finally:
             engine.close(checkpoint=False)
 
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_never_started_engine_queues_until_start(self, shards):
+        engine = make_engine(PARAMS, config=EngineConfig(shards=shards))
+        try:
+            engine.submit_many(
+                [Update.insert(1, 2), Update.insert(2, 3), Update.insert(1, 3)]
+            )
+            assert engine.queue_depth == 3
+            assert engine.applied == 0
+            with pytest.raises(EngineError, match="call start\\(\\) first"):
+                engine.flush()
+            engine.start()
+            assert engine.flush(timeout=10)
+            assert engine.applied == 3
+            assert engine.queue_depth == 0
+        finally:
+            engine.close(checkpoint=False)
+
     def test_sharded_engine_rejects_single_shard_config(self):
         with pytest.raises(ValueError):
             ShardedEngine(PARAMS, config=EngineConfig(shards=1))
