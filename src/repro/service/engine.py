@@ -359,6 +359,9 @@ class ClusteringEngine:
     [[1, 2, 3]]
     """
 
+    shard_index = 0
+    num_shards = 1
+
     def __init__(
         self,
         params: Optional[StrCluParams] = None,
@@ -482,6 +485,11 @@ class ClusteringEngine:
         """Upper bound of :attr:`queue_depth` (shared engine-shape surface)."""
         return self.config.queue_capacity
 
+    @property
+    def shards(self) -> List["ClusteringEngine"]:
+        """The writer engines behind this tenant: just this one."""
+        return [self]
+
     def close(self, checkpoint: bool = True) -> None:
         """Stop the writer, optionally cut a final checkpoint, close the WAL.
 
@@ -573,7 +581,9 @@ class ClusteringEngine:
 
         Raises :class:`EngineBackpressure` when the queue is full and
         ``block`` is false (or the timeout elapses), and
-        :class:`EngineClosed` after :meth:`close`.
+        :class:`EngineClosed` after :meth:`close`.  Before :meth:`start`
+        the update is queued and waits there until the writer starts
+        (:meth:`flush` raises until then).
         """
         if self._closed:
             raise EngineClosed("engine is closed")
@@ -732,7 +742,7 @@ class ClusteringEngine:
                     self._APPLY_SPAN_NAME,
                     trace_id=context.trace_id,
                     parent_id=context.span_id,
-                    shard=getattr(self, "shard_index", 0),
+                    shard=self.shard_index,
                     position=position,
                     op=update.kind.value,
                 ):
@@ -770,7 +780,7 @@ class ClusteringEngine:
                 stages[0],
                 stages[1],
                 publish_elapsed,
-                getattr(self, "shard_index", 0),
+                self.shard_index,
             )
         if (
             self.config.checkpoint_every
@@ -916,6 +926,10 @@ class ClusteringEngine:
             _store_replication_manifest(self.data_dir, epoch, False)
         self.epoch = epoch
         self._fenced = False
+
+    def replication_status(self) -> None:
+        """No replication block: a plain engine is a primary."""
+        return None
 
     @property
     def wal_position(self) -> int:

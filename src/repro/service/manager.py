@@ -33,7 +33,7 @@ from repro.service.engine import ClusteringEngine, EngineConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.obs import get_tracer
 from repro.service.replication import StandbyEngine
-from repro.service.sharding import AnyEngine, ShardedEngine, make_engine
+from repro.service.sharding import AnyEngine, make_engine
 from repro.service.timetravel import DEFAULT_HISTORY_CACHE_SIZE, HistoricalViewStore
 
 #: Tenant names are path segments: one release of URL-safety by construction.
@@ -543,14 +543,17 @@ class EngineManager:
         engine = self.get(name)
         document: Dict[str, object] = {
             "tenant": name,
-            "shards": getattr(engine, "num_shards", 1),
+            "shards": engine.num_shards,
             "applied": engine.applied,
             "epoch": engine.epoch,
+            "role": "primary",
+            # a fenced primary is a zombie: routing clients must prefer
+            # the promoted standby even when the epochs tie
+            "fenced": engine.fenced,
         }
         if isinstance(engine, StandbyEngine):
             document["role"] = "primary" if engine.promoted else "standby"
             document["promoted"] = engine.promoted
-            document["fenced"] = engine.fenced
             document["replica_of"] = engine.replica_of
             status = engine.replication_status()
             document["lag"] = status.get("lag", 0)
@@ -558,31 +561,15 @@ class EngineManager:
             document["reparents"] = status.get("reparents", 0)
             if "last_applied_at" in status:
                 document["last_applied_at"] = status["last_applied_at"]
-            document["shard_positions"] = [
-                {
-                    "shard": row["shard"],
-                    "position": row["position"],
-                    "last_applied_at": row.get("last_applied_at"),
-                }
-                for row in status.get("shards", [])
-            ]
-        else:
-            document["role"] = "primary"
-            # a fenced primary is a zombie: routing clients must prefer
-            # the promoted standby even when the epochs tie
-            document["fenced"] = getattr(engine, "fenced", False)
-            # per-shard applied positions without forcing a scatter-gather
-            # merge: resolve the inner engines directly
-            inner = getattr(engine, "shards", None)
-            targets = inner if isinstance(inner, list) else [engine]
-            document["shard_positions"] = [
-                {
-                    "shard": slot,
-                    "position": target.applied,
-                    "last_applied_at": target.view().published_at,
-                }
-                for slot, target in enumerate(targets)
-            ]
+        # per-shard applied positions without forcing a scatter-gather merge
+        document["shard_positions"] = [
+            {
+                "shard": slot,
+                "position": writer.applied,
+                "last_applied_at": writer.view().published_at,
+            }
+            for slot, writer in enumerate(engine.shards)
+        ]
         acks = self.acks(name)
         if acks:
             document["downstream_acks"] = {
@@ -611,19 +598,12 @@ class EngineManager:
                     engine = candidate
         if engine is None:
             return
-        # resolve the acked shard's inner engine; forwarding happens
-        # outside the lock (note_standby_ack takes the engine's own lock)
-        if isinstance(engine, StandbyEngine):
-            if not engine.promoted:
-                engine.note_downstream_ack(shard, position)
-            engine = engine.engine
-        target: Optional[ClusteringEngine]
-        if isinstance(engine, ShardedEngine):
-            target = engine.shards[shard] if 0 <= shard < engine.num_shards else None
-        else:
-            target = engine if shard == 0 else None
-        if target is not None:
-            target.note_standby_ack(position)
+        # forwarding happens outside the lock (note_standby_ack takes the
+        # engine's own lock)
+        if isinstance(engine, StandbyEngine) and not engine.promoted:
+            engine.note_downstream_ack(shard, position)
+        if 0 <= shard < engine.num_shards:
+            engine.shards[shard].note_standby_ack(position)
 
     def acks(self, name: str) -> Dict[int, int]:
         """Last acked position per shard for one (primary) tenant."""
@@ -684,7 +664,7 @@ class EngineManager:
             "queue_depth": engine.queue_depth,
             "queue_capacity": engine.total_queue_capacity,
             "durable": engine.data_dir is not None,
-            "shards": getattr(engine, "num_shards", 1),
+            "shards": engine.num_shards,
         }
         if isinstance(engine, StandbyEngine):
             row["replica_of"] = engine.replica_of
@@ -735,9 +715,7 @@ class EngineManager:
             if engine.running:
                 running += 1
             all_metrics.append(engine.metrics)
-            shape = engine
             if isinstance(engine, StandbyEngine):
-                shape = engine.engine
                 topology_by_tenant[name] = {
                     "role": "primary" if engine.promoted else "standby",
                     "replica_of": engine.replica_of,
@@ -755,13 +733,10 @@ class EngineManager:
                         )
             else:
                 topology_by_tenant[name] = {"role": "primary"}
-            inner = getattr(shape, "shards", None)
-            if isinstance(inner, list):  # a ShardedEngine's inner engines
-                total_engines += len(inner)
-                shard_depths[name] = [shard.queue_depth for shard in inner]
-                all_metrics.extend(shard.metrics for shard in inner)
-            else:
-                total_engines += 1
+            total_engines += engine.num_shards
+            if engine.num_shards > 1:
+                shard_depths[name] = [shard.queue_depth for shard in engine.shards]
+                all_metrics.extend(shard.metrics for shard in engine.shards)
         merged = ServiceMetrics.merged(all_metrics)
         return {
             "tenants": len(pairs),

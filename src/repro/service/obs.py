@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.service.metrics import INGEST_STAGES, LatencyHistogram, ServiceMetrics
+from repro.service.metrics import INGEST_STAGES, LatencyHistogram
 
 __all__ = [
     "SpanContext",
@@ -494,83 +494,37 @@ class Exposition:
         return "\n".join(lines) + "\n"
 
 
-def _engine_rows(engine: object) -> Tuple[str, object, List[Tuple[str, object]]]:
-    """``(role, tenant_engine, [(shard_label, engine-like), ...])``.
-
-    Duck-typed so this module needs no import of the replication or
-    sharding layers (which import *it*): a standby exposes
-    ``replication_status()`` and wraps its real engine in ``.engine``; a
-    sharded engine exposes its inner engines as the ``.shards`` list,
-    with the router-level queue and metrics on the outer object.
-    """
-    status_fn = getattr(engine, "replication_status", None)
-    status: Optional[Dict[str, object]] = None
-    if callable(status_fn):
-        try:
-            status = status_fn()
-        except Exception:
-            status = None
-    inner = getattr(engine, "engine", engine) if status is not None else engine
-    if isinstance(status, dict):
-        role = str(status.get("role", "standby"))
-    else:
-        role = "primary"
-    shards = getattr(inner, "shards", None)
-    if isinstance(shards, list):
-        rows: List[Tuple[str, object]] = [
-            (str(index), shard) for index, shard in enumerate(shards)
-        ]
-        rows.append(("router", inner))
-    else:
-        rows = [("0", inner)]
-    return role, inner, rows
-
-
 def _emit_engine(
     exposition: Exposition, labels: Dict[str, object], target: object
 ) -> None:
-    """Histograms, counters and queue/WAL gauges of one engine-like object."""
-    metrics = getattr(target, "metrics", None)
-    if isinstance(metrics, ServiceMetrics):
-        exposition.histogram("repro_ingest_latency_seconds", labels, metrics.ingest)
-        exposition.histogram("repro_query_latency_seconds", labels, metrics.query)
+    """Histograms, counters and queue/WAL gauges of one engine."""
+    metrics = target.metrics
+    exposition.histogram("repro_ingest_latency_seconds", labels, metrics.ingest)
+    exposition.histogram("repro_query_latency_seconds", labels, metrics.query)
+    exposition.histogram(
+        "repro_view_capture_latency_seconds", labels, metrics.view_capture
+    )
+    for stage in INGEST_STAGES:
         exposition.histogram(
-            "repro_view_capture_latency_seconds", labels, metrics.view_capture
+            "repro_ingest_stage_seconds",
+            {**labels, "stage": stage},
+            metrics.ingest_stages[stage],
         )
-        for stage in INGEST_STAGES:
-            exposition.histogram(
-                "repro_ingest_stage_seconds",
-                {**labels, "stage": stage},
-                metrics.ingest_stages[stage],
-            )
-        for event, amount in sorted(metrics.counters().items()):
-            exposition.add(
-                "repro_events_total", {**labels, "event": event}, amount
-            )
-    depth = getattr(target, "queue_depth", None)
-    if isinstance(depth, int):
-        exposition.add("repro_queue_depth", labels, depth)
-        config = getattr(target, "config", None)
-        capacity = getattr(config, "queue_capacity", None)
-        if isinstance(capacity, int):
-            exposition.add("repro_queue_capacity", labels, capacity)
-    applied = getattr(target, "applied", None)
-    if isinstance(applied, int):
-        exposition.add("repro_applied_position", labels, applied)
-    horizon_fn = getattr(target, "wal_horizon", None)
-    if callable(horizon_fn):
-        try:
-            horizon = horizon_fn()
-        except Exception:
-            horizon = None
-        if isinstance(horizon, dict) and horizon.get("durable"):
-            exposition.add(
-                "repro_wal_segments", labels, int(horizon.get("segments", 0))
-            )
-            exposition.add("repro_wal_bytes", labels, int(horizon.get("bytes", 0)))
-            oldest = horizon.get("oldest_replayable")
-            if isinstance(oldest, int):
-                exposition.add("repro_wal_oldest_replayable", labels, oldest)
+    for event, amount in sorted(metrics.counters().items()):
+        exposition.add("repro_events_total", {**labels, "event": event}, amount)
+    exposition.add("repro_queue_depth", labels, target.queue_depth)
+    exposition.add("repro_queue_capacity", labels, target.config.queue_capacity)
+    exposition.add("repro_applied_position", labels, target.applied)
+    try:
+        horizon = target.wal_horizon()
+    except Exception:
+        horizon = None
+    if horizon is not None and horizon["durable"]:
+        exposition.add("repro_wal_segments", labels, int(horizon["segments"]))
+        exposition.add("repro_wal_bytes", labels, int(horizon["bytes"]))
+        oldest = horizon["oldest_replayable"]
+        if isinstance(oldest, int):
+            exposition.add("repro_wal_oldest_replayable", labels, oldest)
 
 
 def render_metrics(manager: object, version: Optional[str] = None) -> str:
@@ -589,7 +543,11 @@ def render_metrics(manager: object, version: Optional[str] = None) -> str:
     tenants = list(manager.items())
     exposition.add("repro_tenants", {}, len(tenants))
     for tenant, engine in tenants:
-        role, inner, rows = _engine_rows(engine)
+        status = engine.replication_status()
+        role = "primary" if status is None else str(status["role"])
+        rows = [(str(index), shard) for index, shard in enumerate(engine.shards)]
+        if engine.num_shards > 1:
+            rows.append(("router", engine))
         for shard_label, target in rows:
             _emit_engine(
                 exposition,
@@ -597,30 +555,18 @@ def render_metrics(manager: object, version: Optional[str] = None) -> str:
                 target,
             )
         tenant_labels = {"tenant": tenant, "role": role}
-        epoch = getattr(inner, "epoch", None)
-        if isinstance(epoch, int):
-            exposition.add("repro_epoch", tenant_labels, epoch)
-        fenced = getattr(inner, "fenced", getattr(engine, "fenced", None))
-        if isinstance(fenced, bool):
-            exposition.add("repro_fenced", tenant_labels, int(fenced))
-        status_fn = getattr(engine, "replication_status", None)
-        if callable(status_fn):
-            try:
-                status = status_fn()
-            except Exception:
-                status = None
-            if isinstance(status, dict):
-                lag = status.get("lag")
-                if isinstance(lag, int):
-                    exposition.add("repro_replication_lag", tenant_labels, lag)
-                applied_at = status.get("last_applied_at")
-                if isinstance(applied_at, (int, float)):
-                    # staleness of a wall-clock event timestamp is itself
-                    # wall-clock arithmetic, by construction
-                    staleness = max(0.0, time.time() - applied_at)  # repro: allow[REPRO101]
-                    exposition.add(
-                        "repro_standby_staleness_seconds", tenant_labels, staleness
-                    )
+        exposition.add("repro_epoch", tenant_labels, engine.epoch)
+        exposition.add("repro_fenced", tenant_labels, int(engine.fenced))
+        if status is not None:
+            exposition.add("repro_replication_lag", tenant_labels, status["lag"])
+            applied_at = status.get("last_applied_at")
+            if applied_at is not None:
+                # staleness of a wall-clock event timestamp is itself
+                # wall-clock arithmetic, by construction
+                staleness = max(0.0, time.time() - applied_at)  # repro: allow[REPRO101]
+                exposition.add(
+                    "repro_standby_staleness_seconds", tenant_labels, staleness
+                )
     tracer = get_tracer()
     exposition.add("repro_trace_spans", {}, len(tracer))
     exposition.add("repro_trace_spans_dropped_total", {}, tracer.dropped)

@@ -59,6 +59,7 @@ from repro.persistence.snapshot import write_durable
 from repro.persistence.updatelog import UpdateLogReader, WalSegment
 from repro.service.engine import (
     SNAPSHOT_FILE,
+    ClusteringEngine,
     EngineConfig,
     EngineError,
     ReadOnlyEngineError,
@@ -617,8 +618,6 @@ class StandbyEngine:
     def position(self, slot: int) -> int:
         """The standby's applied position of one shard stream (the ack)."""
         with self._lock:
-            if self.num_shards == 1:
-                return self._engine.applied
             return self._engine.shards[slot].applied
 
     def fetch_wal(self, slot: int, position: int, max_records: int) -> Dict[str, object]:
@@ -709,7 +708,7 @@ class StandbyEngine:
             if self.position(slot) != start:
                 return False
             engine = self._engine
-        target = engine if self.num_shards == 1 else engine.shards[slot]
+        target = engine.shards[slot]
         tracer = get_tracer()
         replayed = 0
         index = 0
@@ -1069,6 +1068,10 @@ class StandbyEngine:
             return self._engine.applied + self._replayed_logical
 
     @property
+    def shards(self) -> List[ClusteringEngine]:
+        return self._engine.shards
+
+    @property
     def queue_depth(self) -> int:
         return self._engine.queue_depth
 
@@ -1160,8 +1163,7 @@ class StandbyEngine:
             # infer freshness from position deltas alone
             with self._lock:
                 engine = self._engine
-            target = engine if self.num_shards == 1 else engine.shards[shipper.slot]
-            applied_at = target.view().published_at
+            applied_at = engine.shards[shipper.slot].view().published_at
             row["last_applied_at"] = applied_at
             if oldest_applied_at is None or applied_at < oldest_applied_at:
                 oldest_applied_at = applied_at

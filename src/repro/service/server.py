@@ -882,8 +882,8 @@ class ClusteringServiceServer:
             acked = self.manager.acks(tenant)
             document["replication"] = {
                 "role": "primary",
-                "epoch": getattr(engine, "epoch", 0),
-                "fenced": getattr(engine, "fenced", False),
+                "epoch": engine.epoch,
+                "fenced": engine.fenced,
                 "acked": {str(shard): position for shard, position in sorted(acked.items())},
             }
         return document
@@ -902,21 +902,16 @@ class ClusteringServiceServer:
         exactly as if they shipped from the root.
         """
         served_epoch: Optional[int] = None
-        if isinstance(engine, StandbyEngine):
-            if not engine.promoted:
-                served_epoch = max(engine.engine.epoch, engine.seen_epoch)
-            engine = engine.engine
+        if isinstance(engine, StandbyEngine) and not engine.promoted:
+            served_epoch = max(engine.epoch, engine.seen_epoch)
         shard = _query_int(query, "shard", 0)
-        if isinstance(engine, ShardedEngine):
-            if not 0 <= shard < engine.num_shards:
-                raise BadRequest(
-                    f"shard must be in [0, {engine.num_shards}), got {shard}"
-                )
-            target = engine.shards[shard]
-        else:
-            if shard != 0:
-                raise BadRequest(f"tenant {tenant!r} is unsharded; shard must be 0")
-            target = engine
+        if not 0 <= shard < engine.num_shards:
+            raise BadRequest(
+                f"tenant {tenant!r} is unsharded; shard must be 0"
+                if engine.num_shards == 1
+                else f"shard must be in [0, {engine.num_shards}), got {shard}"
+            )
+        target = engine.shards[shard]
         if target.data_dir is None:
             raise BadRequest(
                 f"tenant {tenant!r} is not durable; there is no WAL to ship"

@@ -949,6 +949,10 @@ class ShardedEngine:
             shard.set_epoch(epoch)
         self._fenced = False
 
+    def replication_status(self) -> None:
+        """No replication block: a sharded engine is a primary."""
+        return None
+
     def wal_horizon(self) -> Dict[str, object]:
         """Aggregated ``as_of`` horizon: totals plus per-shard rows.
 
@@ -1222,7 +1226,14 @@ class ShardedEngine:
         }
 
 
-#: Either engine shape, for annotations in the layers above.
+#: Either engine shape, for annotations in the layers above.  Both, and
+#: the :class:`~repro.service.replication.StandbyEngine` wrapping either,
+#: answer one read surface, so no reader needs to know a tenant's shape:
+#: ``shards`` (the writer engines, ``[self]`` for a plain engine),
+#: ``num_shards``, ``epoch``, ``fenced`` and ``replication_status()``
+#: (``None`` except on a standby).  A ``_ShardEngine`` is a writer, not a
+#: tenant engine: its own ``shard_index``/``num_shards`` place it in its
+#: partition, and nothing walks its ``shards``.
 AnyEngine = Union[ClusteringEngine, ShardedEngine]
 
 

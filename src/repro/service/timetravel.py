@@ -49,7 +49,6 @@ from repro.service.metrics import LatencyHistogram
 from repro.service.replication import StandbyEngine, WalGapError, read_wal_range
 from repro.service.sharding import (
     AnyEngine,
-    ShardedEngine,
     ShardedView,
     _OwnerMap,
     capture_shard_export,
@@ -176,21 +175,8 @@ class HistoricalViewStore:
         self._views: "OrderedDict[Tuple[int, ...], object]" = OrderedDict()  # guarded-by: _lock
         self._replayers: Dict[int, _Replayer] = {}  # guarded-by: _replay_lock
 
-    # ------------------------------------------------------------------
-    # engine-shape resolution (per call: survives re-seeds and promotion)
-    # ------------------------------------------------------------------
-    def _shape(self) -> AnyEngine:
-        engine = self.engine
-        if isinstance(engine, StandbyEngine):
-            engine = engine.engine
-        return engine
-
     def _targets(self) -> List[ClusteringEngine]:
-        shape = self._shape()
-        if isinstance(shape, ShardedEngine):
-            targets: List[ClusteringEngine] = list(shape.shards)
-        else:
-            targets = [shape]
+        targets = list(self.engine.shards)
         for target in targets:
             if target.data_dir is None:
                 raise ValueError(
@@ -202,7 +188,7 @@ class HistoricalViewStore:
     @property
     def num_shards(self) -> int:
         """Expected length of an ``as_of`` position tuple for this tenant."""
-        return getattr(self._shape(), "num_shards", 1)
+        return self.engine.num_shards
 
     # ------------------------------------------------------------------
     # the read path
@@ -270,20 +256,20 @@ class HistoricalViewStore:
     def _capture(
         self, maintainers: List[object], key: Tuple[int, ...]
     ) -> Union[ClusteringView, ShardedView]:
-        shape = self._shape()
-        if not isinstance(shape, ShardedEngine):
+        num_shards = self.num_shards
+        if num_shards == 1:
             return ClusteringView.capture(maintainers[0], key[0])
-        owner = getattr(shape, "_owner", None) or _OwnerMap(shape.num_shards)
+        owner = _OwnerMap(num_shards)
         snapshots = tuple(
             (
                 ClusteringView.capture(maintainer, position),
                 capture_shard_export(
-                    maintainer, index, shape.num_shards, position, owner=owner
+                    maintainer, index, num_shards, position, owner=owner
                 ),
             )
             for index, (maintainer, position) in enumerate(zip(maintainers, key))
         )
-        return merge_shard_views(snapshots, shape.params, shape.num_shards, owner=owner)
+        return merge_shard_views(snapshots, self.engine.params, num_shards, owner=owner)
 
     def _replay_locked(self, target: ClusteringEngine, index: int, goal: int) -> object:
         """A maintainer holding shard ``index``'s state at exactly ``goal``.
