@@ -176,7 +176,7 @@ class HistoricalViewStore:
         self._replayers: Dict[int, _Replayer] = {}  # guarded-by: _replay_lock
 
     def _targets(self) -> List[ClusteringEngine]:
-        targets = list(self.engine.shards)
+        targets = self.engine.shards
         for target in targets:
             if target.data_dir is None:
                 raise ValueError(
@@ -184,11 +184,6 @@ class HistoricalViewStore:
                     "retention); this tenant keeps no history"
                 )
         return targets
-
-    @property
-    def num_shards(self) -> int:
-        """Expected length of an ``as_of`` position tuple for this tenant."""
-        return self.engine.num_shards
 
     # ------------------------------------------------------------------
     # the read path
@@ -256,7 +251,7 @@ class HistoricalViewStore:
     def _capture(
         self, maintainers: List[object], key: Tuple[int, ...]
     ) -> Union[ClusteringView, ShardedView]:
-        num_shards = self.num_shards
+        num_shards = self.engine.num_shards
         if num_shards == 1:
             return ClusteringView.capture(maintainers[0], key[0])
         owner = _OwnerMap(num_shards)
@@ -305,10 +300,10 @@ class HistoricalViewStore:
         if not anchors:
             raise AsOfUnavailableError(
                 f"no retained snapshot at or below position {goal}"
-                + (f" for shard {index}" if self.num_shards > 1 else ""),
+                + (f" for shard {index}" if self.engine.num_shards > 1 else ""),
                 requested=goal,
                 oldest=target.wal_horizon()["oldest_replayable"],
-                shard=index if self.num_shards > 1 else None,
+                shard=index if self.engine.num_shards > 1 else None,
             )
         anchor = anchors[-1]
         token = target.pin_wal(anchor.position)
@@ -321,7 +316,7 @@ class HistoricalViewStore:
                     f"snapshot anchor at {anchor.position} was pruned",
                     requested=goal,
                     oldest=target.wal_horizon()["oldest_replayable"],
-                    shard=index if self.num_shards > 1 else None,
+                    shard=index if self.engine.num_shards > 1 else None,
                 ) from None
             maintainer = restore_dynstrclu(
                 snapshot,
@@ -331,7 +326,7 @@ class HistoricalViewStore:
             try:
                 _advance(maintainer, target, snapshot.updates_processed, goal)
             except AsOfUnavailableError as exc:
-                if self.num_shards > 1 and exc.shard is None:
+                if self.engine.num_shards > 1 and exc.shard is None:
                     exc.shard = index
                 raise
         finally:
