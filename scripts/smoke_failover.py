@@ -176,28 +176,32 @@ def _wide_reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
     per-shard exact and must not be "repaired").
     """
     copy = Path(tempfile.mkdtemp(prefix="failover-ref-")) / "wide"
-    shutil.copytree(tenant_dir, copy)
-    for index, position in enumerate(positions):
-        shard_dir = copy / f"shard-{index}"
-        base = 0
-        snapshot_path = shard_dir / "snapshot.json"
-        if snapshot_path.exists():
-            base = json.loads(snapshot_path.read_text(encoding="utf-8")).get(
-                "updates_processed", 0
-            )
-        truncate_wal(shard_dir / "wal.log", position - base)
-    engine = ShardedEngine(
-        config=EngineConfig(shards=len(positions)), data_dir=copy, reconcile=False
-    )
     try:
-        groups = {
-            frozenset(group)
-            for group in engine.group_by(probe).as_sets()
-            if group
-        }
-        return groups, engine.view().stats()["num_edges"]
+        shutil.copytree(tenant_dir, copy)
+        for index, position in enumerate(positions):
+            shard_dir = copy / f"shard-{index}"
+            base = 0
+            snapshot_path = shard_dir / "snapshot.json"
+            if snapshot_path.exists():
+                base = json.loads(snapshot_path.read_text(encoding="utf-8")).get(
+                    "updates_processed", 0
+                )
+            truncate_wal(shard_dir / "wal.log", position - base)
+        engine = ShardedEngine(
+            config=EngineConfig(shards=len(positions)), data_dir=copy, reconcile=False
+        )
+        try:
+            groups = {
+                frozenset(group)
+                for group in engine.group_by(probe).as_sets()
+                if group
+            }
+            return groups, engine.view().stats()["num_edges"]
+        finally:
+            engine.kill()
     finally:
-        engine.kill()
+        # the copy is a whole tenant; drop it once the engine is gone
+        shutil.rmtree(copy.parent, ignore_errors=True)
 
 
 def main() -> int:

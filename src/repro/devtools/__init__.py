@@ -21,6 +21,7 @@ REPRO501   error-envelope   bare builtin exception raised in a route handler
 REPRO601   thread-hygiene   ``threading.Thread`` without an explicit ``name=``
 REPRO602   thread-hygiene   thread stored on ``self`` but never joined
 REPRO701   span-hygiene     tracer ``span()`` opened outside a ``with``
+REPRO801   engine-surface   ``getattr()`` on an engine in ``repro.service``
 ========== ================ ==================================================
 """
 
@@ -43,6 +44,7 @@ from repro.devtools.core import (
 from repro.devtools.durability import DurableWriteChecker
 from repro.devtools.locking import GuardedFieldChecker, ThreadHygieneChecker
 from repro.devtools.spans import SpanHygieneChecker
+from repro.devtools.surface import EngineSurfaceChecker
 
 __all__ = [
     "Checker",
@@ -61,6 +63,7 @@ __all__ = [
     "ErrorEnvelopeChecker",
     "ThreadHygieneChecker",
     "SpanHygieneChecker",
+    "EngineSurfaceChecker",
 ]
 
 
@@ -74,4 +77,5 @@ def all_checkers() -> List[Checker]:
         ErrorEnvelopeChecker(),
         ThreadHygieneChecker(),
         SpanHygieneChecker(),
+        EngineSurfaceChecker(),
     ]

@@ -59,7 +59,12 @@ hosts many isolated tenants behind one versioned HTTP surface:
 Exposed on the CLI as ``repro serve`` and ``repro loadgen``.
 """
 
-from repro.service.client import BackpressureError, ServiceClient, ServiceError
+from repro.service.client import (
+    BackpressureError,
+    ServiceClient,
+    ServiceError,
+    TransportError,
+)
 from repro.service.engine import (
     ClusteringEngine,
     EngineBackpressure,
@@ -165,6 +170,7 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "BackpressureError",
+    "TransportError",
     "ServiceMetrics",
     "LatencyHistogram",
     "Tracer",

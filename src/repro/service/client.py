@@ -1,11 +1,11 @@
 """Stdlib HTTP client for the v1 multi-tenant clustering service.
 
-:class:`ServiceClient` wraps ``http.client`` (no third-party dependencies)
-and mirrors the server's v1 surface with typed helpers: tenant
-administration (:meth:`list_tenants` / :meth:`create_tenant` /
-:meth:`delete_tenant`) plus the four per-tenant routes, bound to the
-client's ``tenant`` (``"default"`` unless overridden).  One persistent
-keep-alive connection is maintained per client; the client is protected by
+:class:`ServiceClient` (no third-party dependencies) mirrors the server's
+v1 surface with typed helpers: tenant administration (:meth:`list_tenants`
+/ :meth:`create_tenant` / :meth:`delete_tenant`) plus the four per-tenant
+routes, bound to the client's ``tenant`` (``"default"`` unless overridden).
+One persistent keep-alive HTTP/1.1 connection is maintained per client and
+each request goes out as a single socket write; the client is protected by
 a lock so it can be shared between load-generator threads, and transparently
 reconnects once if the server closed the idle connection.
 
@@ -17,8 +17,9 @@ server's suggested ``retry_after_ms``.
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
+import socket
 import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -59,6 +60,100 @@ def format_as_of(as_of: AsOf) -> str:
             f"as_of must be a position, a per-shard position sequence or "
             f"'latest', got {as_of!r}"
         ) from None
+
+
+#: Longest status or header line, and most header lines, a response may
+#: carry before the connection is given up as broken.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+#: Characters a request target (control bytes, space) or a header value
+#: (control bytes) must not contain: either would split the request head.
+_UNSAFE_TARGET = re.compile(r"[\x00-\x20\x7f]")
+_UNSAFE_VALUE = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+
+
+class TransportError(ConnectionError):
+    """The server's reply broke HTTP/1.1 framing.
+
+    Raised for a connection closed before a complete reply, a malformed
+    status or header line, a missing ``Content-Length``, or a body shorter
+    than its ``Content-Length`` (a partial document is never returned).  It
+    is a :class:`ConnectionError`, so every caller that already handles a
+    dropped connection (``except OSError``) handles this too.
+    """
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection that writes each request once.
+
+    The head and body go out in a single ``sendall`` with ``TCP_NODELAY``
+    set, so the server wakes once per request, not once for the head and
+    again for the body.  The reply is parsed from a buffered reader: the
+    status line, the headers (names lowercased), then exactly
+    ``Content-Length`` body bytes — the v1 server frames every response
+    that way.  The socket timeout is the client's ``timeout``.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self._sock = socket.create_connection((host, port), timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = self._sock.makefile("rb")
+        self._host = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+    def close(self) -> None:
+        self._reader.close()
+        self._sock.close()
+
+    def request(
+        self, method: str, path: str, body: Optional[bytes], headers: Dict[str, str]
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """Send one request; return ``(status, headers, body)``."""
+        if _UNSAFE_TARGET.search(path) or not path.isascii():
+            raise ValueError(f"request target {path!r} is not a printable ASCII path")
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {self._host}"]
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}")
+        for name, value in headers.items():
+            if _UNSAFE_VALUE.search(value):
+                raise ValueError(f"header {name!r} has a control character: {value!r}")
+            lines.append(f"{name}: {value}")
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        self._sock.sendall(head + body if body else head)
+
+        status_line = self._line()
+        version, _, rest = status_line.partition(b" ")
+        code = rest[:3]
+        if not version.startswith(b"HTTP/") or len(code) != 3 or not code.isdigit():
+            raise TransportError(f"malformed status line {status_line[:80]!r}")
+        response_headers: Dict[str, str] = {}
+        for _ in range(_MAX_HEADERS):
+            line = self._line()
+            if line in (b"\r\n", b"\n"):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise TransportError(f"malformed header line {line[:80]!r}")
+            response_headers[name.strip().lower()] = value.strip()
+        else:
+            raise TransportError(f"more than {_MAX_HEADERS} response headers")
+        raw_length = response_headers.get("content-length", "")
+        if not raw_length.isdecimal():
+            raise TransportError(f"response Content-Length {raw_length!r} is not a length")
+        length = int(raw_length)
+        payload = self._reader.read(length)
+        if len(payload) < length:
+            raise TransportError(f"response body truncated at {len(payload)} of {length} bytes")
+        return int(code), response_headers, payload
+
+    def _line(self) -> bytes:
+        line = self._reader.readline(_MAX_LINE + 1)
+        if not line.endswith(b"\n"):
+            raise TransportError(
+                "the server closed the connection"
+                if not line
+                else f"truncated or over-long line {line[:80]!r}"
+            )
+        return line
 
 
 class ServiceError(RuntimeError):
@@ -210,7 +305,7 @@ class ServiceClient:
         )
         self.topology_max_age = topology_max_age
         self._lock = threading.Lock()
-        self._connection: Optional[http.client.HTTPConnection] = None  # guarded-by: _lock
+        self._connection: Optional[_Connection] = None  # guarded-by: _lock
         # replica-set state: lazily-built per-endpoint sub-clients plus a
         # cached fleet topology (who is primary, how far along each
         # standby is) refreshed at most every topology_max_age seconds
@@ -283,29 +378,29 @@ class ServiceClient:
             headers.update(extra_headers)
         with self._lock:
             for attempt in (0, 1):
-                if self._connection is None:
-                    self._connection = http.client.HTTPConnection(
-                        self.host, self.port, timeout=self.timeout
-                    )
                 try:
-                    self._connection.request(method, path, body=body, headers=headers)
-                    response = self._connection.getresponse()
-                    raw = response.read()
+                    if self._connection is None:
+                        self._connection = _Connection(self.host, self.port, self.timeout)
+                    status, response_headers, raw = self._connection.request(
+                        method, path, body, headers
+                    )
                     break
-                except (ConnectionError, http.client.HTTPException, OSError):
-                    # stale keep-alive connection: reconnect once
-                    self._connection.close()
-                    self._connection = None
+                except OSError:
+                    # stale keep-alive connection (or a reply cut short, a
+                    # TransportError): reconnect and resend once
+                    if self._connection is not None:
+                        self._connection.close()
+                        self._connection = None
                     if attempt:
                         raise
+            if response_headers.get("connection", "").lower() == "close":
+                self._connection.close()
+                self._connection = None
         try:
             document = json.loads(raw.decode("utf-8")) if raw else None
         except (UnicodeDecodeError, json.JSONDecodeError):
             document = raw.decode("utf-8", errors="replace")
-        response_headers = {
-            name.lower(): value for name, value in response.getheaders()
-        }
-        return response.status, document, response_headers
+        return status, document, response_headers
 
     def _expect_ok(
         self,

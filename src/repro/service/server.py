@@ -1025,7 +1025,9 @@ class ClusteringServiceServer:
         vertices = payload["vertices"]
         if not isinstance(vertices, list):
             raise BadRequest('"vertices" must be a list')
-        query = [_decode_vertex(v) for v in vertices]
+        # an int is already canonical; `type(v) is int` keeps bools (an int
+        # subclass) on the checked path, which answers them with a 400
+        query = [v if type(v) is int else _decode_vertex(v) for v in vertices]
         if view is None:
             view = engine.view()
         start = _now()

@@ -16,6 +16,7 @@ import pytest
 from repro.devtools import (
     AsyncBlockingChecker,
     DurableWriteChecker,
+    EngineSurfaceChecker,
     ErrorEnvelopeChecker,
     GuardedFieldChecker,
     MonotonicDisciplineChecker,
@@ -120,6 +121,18 @@ class TestSpanHygiene:
         assert run(SpanHygieneChecker(), "spans_good.py") == []
 
 
+class TestEngineSurface:
+    def test_bad_fixture_is_detected(self):
+        findings = run(EngineSurfaceChecker(), "surface_bad.py")
+        # engine, self.engine and standby_engine: one finding each
+        assert [finding.line for finding in findings] == [5, 9, 13]
+        assert codes(findings) == ["REPRO801"] * 3
+
+    def test_good_fixture_is_clean(self):
+        # getattr(maintainer, "core_attachments", None) stays allowed
+        assert run(EngineSurfaceChecker(), "surface_good.py") == []
+
+
 class TestScoping:
     @pytest.mark.parametrize(
         "checker_class, in_scope, out_of_scope",
@@ -144,6 +157,11 @@ class TestScoping:
                 "src/repro/service/sharding.py",
                 "src/repro/devtools/spans.py",
             ),
+            (
+                EngineSurfaceChecker,
+                "src/repro/service/server.py",
+                "src/repro/devtools/surface.py",
+            ),
         ],
     )
     def test_package_files_respect_checker_scope(
@@ -166,5 +184,6 @@ class TestScoping:
             ErrorEnvelopeChecker,
             ThreadHygieneChecker,
             SpanHygieneChecker,
+            EngineSurfaceChecker,
         ):
             assert checker_class().applies_to(source)

@@ -104,6 +104,7 @@ class TestSelection:
             "REPRO601": 2,
             "REPRO602": 1,
             "REPRO701": 3,
+            "REPRO801": 3,
         }
         assert len(report.suppressed) == 3
         assert report.files_checked == len(list(FIXTURES.glob("*.py")))
