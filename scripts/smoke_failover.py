@@ -35,12 +35,13 @@ primary role).  The script then:
 1. ``SIGSTOP``\\ s the primary for well under the quorum window and
    asserts the watchdog does **not** promote (transient partitions are
    suppressed);
-2. ``SIGKILL``\\ s every primary-hosting server, round after round, and
-   asserts the watchdog promotes a replacement within the probe budget,
-   that exactly one server claims the primary role per tenant (no
-   dueling promotion), that surviving standbys are re-parented onto the
-   winner, and that the promoted clustering exactly equals a
-   truncated-WAL sequential replay of the dead primary's disk;
+2. pauses the writers, then ``SIGKILL``\\ s every primary-hosting server
+   while replication is still in flight, round after round, and asserts
+   the watchdog promotes a replacement within the probe budget, that
+   exactly one server claims the primary role per tenant (no dueling
+   promotion), that surviving standbys are re-parented onto the winner,
+   and that the promoted clustering exactly equals a truncated-WAL
+   sequential replay of the dead primary's disk;
 3. resumes the writers and asserts ingest flows into each new primary.
 
 The watchdog's decision log lands in ``--decision-log`` (default
@@ -412,7 +413,11 @@ class _Writer(threading.Thread):
         self._halt = threading.Event()
 
     def pause(self) -> None:
+        """Return once no batch of this writer is in flight."""
         self._run.clear()
+        # a stale flag from the previous pause must not count: the loop
+        # sets it again only after it has seen ``_run`` cleared
+        self._idle.clear()
         if not self._idle.wait(timeout=30.0):
             fail(f"writer for {self.tenant!r} never went idle")
 
@@ -650,14 +655,18 @@ def auto_main(rounds: int, log_path: Path) -> int:
         dead: set[int] = set()
         for round_no in range(1, rounds + 1):
             time.sleep(1.0)  # let the writers land a fresh mid-stream prefix
+            # pause before the kill: a batch still in flight to a dead
+            # primary would be rerouted onto the standby promoted in its
+            # place, past the cut its WAL holds.  Replication to the
+            # standbys is still in flight when the kill lands.
+            for writer in writers:
+                writer.pause()
             victims = sorted(set(primaries.values()))
             for port in victims:
                 servers[port].send_signal(signal.SIGKILL)
                 servers[port].wait(timeout=30)
                 dead.add(port)
             killed_at = time.monotonic()
-            for writer in writers:
-                writer.pause()
             alive = [port for port in ports if port not in dead]
             print(
                 f"round {round_no}: killed {victims}; "

@@ -27,18 +27,12 @@ so that a marked node inside a given tree can be located in ``O(log n)``.
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.connectivity.base import ConnectivityStructure, Vertex
+from repro.graph.dynamic_graph import canonical_edge
 
 Edge = Tuple[Vertex, Vertex]
-
-
-def _edge_key(u: Vertex, v: Vertex) -> Edge:
-    try:
-        return (u, v) if u <= v else (v, u)  # type: ignore[operator]
-    except TypeError:
-        return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 class _Node:
@@ -238,7 +232,7 @@ class EulerTourForest:
         return self.tree_root_node(v).vcount
 
     def has_tree_edge(self, u: Vertex, v: Vertex) -> bool:
-        return _edge_key(u, v) in self._edge_nodes
+        return canonical_edge(u, v) in self._edge_nodes
 
     def tree_vertices(self, v: Vertex) -> List[Vertex]:
         """Return all vertices of the tree containing ``v`` (linear in tree size)."""
@@ -271,7 +265,7 @@ class EulerTourForest:
 
     def link(self, u: Vertex, v: Vertex) -> None:
         """Add tree edge ``(u, v)``; ``u`` and ``v`` must be in different trees."""
-        key = _edge_key(u, v)
+        key = canonical_edge(u, v)
         if key in self._edge_nodes:
             raise ValueError(f"tree edge {key!r} already exists")
         self.add_vertex(u)
@@ -287,7 +281,7 @@ class EulerTourForest:
 
     def cut(self, u: Vertex, v: Vertex) -> None:
         """Remove tree edge ``(u, v)``, splitting its tree into two."""
-        key = _edge_key(u, v)
+        key = canonical_edge(u, v)
         pair = self._edge_nodes.pop(key, None)
         if pair is None:
             raise ValueError(f"tree edge {key!r} does not exist")
@@ -321,7 +315,7 @@ class EulerTourForest:
 
     def set_edge_mark(self, u: Vertex, v: Vertex, flag: bool) -> None:
         """Mark/unmark tree edge ``(u, v)`` ("level of this edge equals this forest's level")."""
-        pair = self._edge_nodes.get(_edge_key(u, v))
+        pair = self._edge_nodes.get(canonical_edge(u, v))
         if pair is None:
             raise ValueError(f"tree edge ({u!r}, {v!r}) does not exist")
         node = pair[0]
@@ -354,7 +348,7 @@ class EulerTourForest:
                 node = node.left
                 continue
             if node.mark_edge:
-                return _edge_key(node.u, node.v)
+                return canonical_edge(node.u, node.v)
             node = node.right
         return None  # pragma: no cover - unreachable when me_count > 0
 

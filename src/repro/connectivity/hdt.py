@@ -28,7 +28,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.connectivity.base import ConnectivityStructure, Vertex
-from repro.connectivity.euler_tour import EulerTourForest, _edge_key
+from repro.connectivity.euler_tour import EulerTourForest
+from repro.graph.dynamic_graph import canonical_edge
 
 Edge = Tuple[Vertex, Vertex]
 
@@ -60,7 +61,7 @@ class HDTConnectivity(ConnectivityStructure):
 
     def edge_level(self, u: Vertex, v: Vertex) -> Optional[int]:
         """Return the level of edge ``(u, v)`` or None if absent (testing aid)."""
-        return self._edge_level.get(_edge_key(u, v))
+        return self._edge_level.get(canonical_edge(u, v))
 
     # ------------------------------------------------------------------
     # non-tree bookkeeping
@@ -114,12 +115,12 @@ class HDTConnectivity(ConnectivityStructure):
     # edge lifecycle
     # ------------------------------------------------------------------
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return _edge_key(u, v) in self._edge_level
+        return canonical_edge(u, v) in self._edge_level
 
     def insert_edge(self, u: Vertex, v: Vertex) -> None:
         if u == v:
             raise ValueError("self loops are not supported")
-        key = _edge_key(u, v)
+        key = canonical_edge(u, v)
         if key in self._edge_level:
             raise ValueError(f"edge {key!r} already exists")
         self.add_vertex(u)
@@ -137,7 +138,7 @@ class HDTConnectivity(ConnectivityStructure):
             self._add_nontree(0, u, v)
 
     def delete_edge(self, u: Vertex, v: Vertex) -> None:
-        key = _edge_key(u, v)
+        key = canonical_edge(u, v)
         level = self._edge_level.pop(key, None)
         if level is None:
             raise ValueError(f"edge ({u!r}, {v!r}) does not exist")
@@ -209,13 +210,13 @@ class HDTConnectivity(ConnectivityStructure):
             for y in neighbours:
                 self._remove_nontree(level, x, y)
                 if forest.tree_root_node(y) is big_root:
-                    return _edge_key(x, y)
-                self._edge_level[_edge_key(x, y)] = level + 1
+                    return canonical_edge(x, y)
+                self._edge_level[canonical_edge(x, y)] = level + 1
                 self._add_nontree(level + 1, x, y)
 
     def _attach_replacement(self, level: int, x: Vertex, y: Vertex) -> None:
         """Turn non-tree edge ``(x, y)`` into a tree edge of ``level`` in ``F_0 … F_level``."""
-        key = _edge_key(x, y)
+        key = canonical_edge(x, y)
         self._edge_level[key] = level
         self._is_tree[key] = True
         for j in range(level + 1):

@@ -12,9 +12,13 @@ under edge insertions and deletions.  The machinery, following the paper:
   its label can possibly become invalid
   (:mod:`~repro.core.affordability`), so a DT instance with threshold
   ``τ(u, v)`` tracks its affecting updates.  Labelling and τ come from one
-  step, :meth:`~repro.core.labelling.LabellingStrategy.relabel`, which reads
-  the edge's two neighbourhoods once; DynELM calls it for the inserted
-  edge and for every matured DT instance, then re-tracks the edge;
+  step, :meth:`~repro.core.labelling.LabellingStrategy.relabel_all`, which
+  reads each edge's two neighbourhoods once;
+* the drain works per endpoint: the edges whose DT instances mature at
+  ``u`` are relabelled as one batch, in the order the tracker reports
+  them, and re-tracked as one batch
+  (:meth:`~repro.dt.tracker.UpdateTracker.retrack`); then the same at
+  ``w``.  The inserted edge is a batch of one;
 * the DT instances of all edges incident on a vertex share one counter and
   are organised in a ``DtHeap`` (:class:`~repro.dt.tracker.UpdateTracker`),
   so an update only touches the edges whose DT actually signals (edges
@@ -118,9 +122,10 @@ class DynELM:
     """Dynamic Edge Label Maintenance (Theorems 6.1 and 8.1).
 
     Every strategy invocation — the inserted edge, then each edge whose DT
-    instance matures in the drain — is one call of
-    :meth:`LabellingStrategy.relabel`, which returns the new label and the
-    threshold τ the edge is re-tracked with.
+    instance matures in the drain — is one edge of a
+    :meth:`LabellingStrategy.relabel_all` batch, which returns the new
+    labels and the thresholds τ the edges are re-tracked with.  The drain
+    passes the edges matured at one endpoint as one batch.
 
     Parameters
     ----------
@@ -268,21 +273,26 @@ class DynELM:
         return UpdateResult(update, old_label, flips, relabelled)
 
     def _drain(self, u: Vertex, w: Vertex) -> Tuple[List[Tuple[Edge, EdgeLabel]], int]:
-        """Steps 3/4: process matured DT instances at ``u`` then ``w``."""
+        """Steps 3/4: process matured DT instances at ``u`` then ``w``.
+
+        The edges that mature at one endpoint are relabelled as one batch
+        and re-tracked as one batch, in the order the tracker reported them.
+        """
         flips: List[Tuple[Edge, EdgeLabel]] = []
         relabelled = 0
         labels = self.labels
-        relabel = self.strategy.relabel
         tracker = self.tracker
         for endpoint in (u, w):
-            for edge in tracker.process_ready(endpoint):
-                a, b = edge
-                new, tau = relabel(a, b)
-                relabelled += 1
+            matured = tracker.process_ready(endpoint)
+            if not matured:
+                continue
+            new_labels, taus = self.strategy.relabel_all(matured)
+            relabelled += len(matured)
+            for edge, new in zip(matured, new_labels):
                 if new is not labels[edge]:
                     flips.append((edge, new))
-                labels[edge] = new
-                tracker.track(a, b, tau)
+                    labels[edge] = new
+            tracker.retrack(matured, taus)
         return flips, relabelled
 
     # ------------------------------------------------------------------

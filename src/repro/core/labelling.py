@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.affordability import degree_threshold
 from repro.core.config import StrCluParams
@@ -49,17 +49,20 @@ class EdgeLabel(str, Enum):
 # costs about 0.1 µs on CPython 3.11, several times a module-global read
 _LABEL_OF = (EdgeLabel.DISSIMILAR, EdgeLabel.SIMILAR)  # indexed by σ̃ ≥ ε
 _JACCARD = SimilarityKind.JACCARD
+_NO_NEIGHBOURS: frozenset = frozenset()
 
 
 class LabellingStrategy:
     """The (½ρε, δ)-strategy with the per-invocation δ-schedule.
 
-    Each call to :meth:`relabel` (or :meth:`label`) is one strategy
-    invocation: the invocation counter ``i`` advances, σ is evaluated and
-    the threshold test ``σ̃ ≥ ε`` is applied.  :meth:`relabel` also returns
-    the DT threshold τ of the edge, computed from the same two degrees, so
-    DynELM labels and re-tracks an edge from one read of its two
-    neighbourhoods.
+    Each edge passed to :meth:`relabel_all` is one strategy invocation: the
+    invocation counter ``i`` advances, σ is evaluated and the threshold
+    test ``σ̃ ≥ ε`` is applied.  The batch also returns the DT threshold τ
+    of each edge, computed from the same two degrees, so DynELM labels and
+    re-tracks an edge from one read of its two neighbourhoods.  DynELM
+    passes the matured edges of one endpoint as one batch, and the inserted
+    edge as a batch of one through :meth:`relabel`; :meth:`label` is the
+    label-only form.
 
     σ follows the hybrid rule of the oracle the strategy holds at call time
     (see "Where the rule runs" in :mod:`repro.core.estimator`).  When the
@@ -83,45 +86,82 @@ class LabellingStrategy:
         self.counter = counter if counter is not None else NULL_COUNTER
         # L_1, the smallest L_i (L_i is non-decreasing in i); exact mode has none
         self._first_samples = None if params.exact_mode else params.sample_size(1)
+        #: τ per sorted degree pair ``(d_min, d_max)``; ``params`` is frozen
+        self._taus_by_degrees: Dict[Tuple[int, int], int] = {}
 
     def relabel(self, u: Vertex, v: Vertex) -> Tuple[EdgeLabel, int]:
         """Label edge ``(u, v)`` with a fresh invocation; returns ``(label, τ)``."""
-        self.invocations += 1
+        labels, taus = self.relabel_all(((u, v),))
+        return labels[0], taus[0]
+
+    def relabel_all(self, edges: Sequence[Edge]) -> Tuple[List[EdgeLabel], List[int]]:
+        """Label every edge of ``edges`` in order, one fresh invocation each.
+
+        Returns the labels and the thresholds τ, position by position.  The
+        result is that of relabelling the edges one at a time, in order: the
+        invocation counter (hence δ_i and the sample size of the sampling
+        branch) advances once per edge, and the OpCounter totals are the
+        same, charged once per batch.  τ comes from
+        :func:`~repro.core.affordability.degree_threshold`, remembered per
+        degree pair.
+        """
         params = self.params
+        epsilon = params.epsilon
         oracle = self.oracle
-        counter = self.counter
-        counter.add("label_invocation")
-        graph = oracle.graph
-        nu = graph.neighbours(u)
-        nv = graph.neighbours(v)
-        d_u = len(nu)
-        d_v = len(nv)
-        # closed neighbourhood sizes |N[x]| = d[x] + 1
-        if d_u < d_v:
-            n_min, n_max = d_u + 1, d_v + 1
-        else:
-            n_min, n_max = d_v + 1, d_u + 1
+        adj = oracle.graph.adjacency
         first_samples = self._first_samples
-        if first_samples is None or n_min <= oracle.exact_ratio * first_samples:
-            counter.add("similarity_eval")
-            if n_min < oracle.short_circuit_ratio * n_max:
-                similar = False  # the short-circuit of Lemma 8.2
-            else:
-                counter.add("neighbour_probe", n_min)
-                if v not in nu:
-                    similar = False  # a non-adjacent pair has σ = 0
+        cutoff = math.inf if first_samples is None else oracle.exact_ratio * first_samples
+        short_circuit = oracle.short_circuit_ratio
+        jaccard = oracle.kind is _JACCARD
+        taus_by_degrees = self._taus_by_degrees
+        invocation = self.invocations
+        evaluations = probes = 0
+        labels: List[EdgeLabel] = []
+        taus: List[int] = []
+        add_label = labels.append
+        add_tau = taus.append
+        for u, v in edges:
+            invocation += 1
+            nu = adj.get(u, _NO_NEIGHBOURS)
+            nv = adj.get(v, _NO_NEIGHBOURS)
+            d_u = len(nu)
+            d_v = len(nv)
+            degrees = (d_u, d_v) if d_u < d_v else (d_v, d_u)
+            # closed neighbourhood sizes |N[x]| = d[x] + 1
+            n_min = degrees[0] + 1
+            if n_min <= cutoff:
+                evaluations += 1
+                if n_min < short_circuit * (degrees[1] + 1):
+                    similar = False  # the short-circuit of Lemma 8.2
                 else:
-                    # |N[u] ∩ N[v]|: the open common neighbours plus u and v
-                    common = len(nu & nv) + 2
-                    if oracle.kind is _JACCARD:
-                        sigma = common / (d_u + d_v + 2 - common)
+                    probes += n_min
+                    if v not in nu:
+                        similar = False  # a non-adjacent pair has σ = 0
                     else:
-                        sigma = common / math.sqrt((d_u + 1) * (d_v + 1))
-                    similar = sigma >= params.epsilon
-        else:
-            samples = params.sample_size(self.invocations)
-            similar = oracle.similarity(u, v, num_samples=samples) >= params.epsilon
-        return _LABEL_OF[similar], degree_threshold(d_u, d_v, params)
+                        # |N[u] ∩ N[v]|: the open common neighbours plus u and v
+                        common = len(nu & nv) + 2
+                        if jaccard:
+                            sigma = common / (d_u + d_v + 2 - common)
+                        else:
+                            sigma = common / math.sqrt((d_u + 1) * (d_v + 1))
+                        similar = sigma >= epsilon
+            else:
+                samples = params.sample_size(invocation)
+                similar = oracle.similarity(u, v, num_samples=samples) >= epsilon
+            add_label(_LABEL_OF[similar])
+            tau = taus_by_degrees.get(degrees)
+            if tau is None:
+                tau = taus_by_degrees[degrees] = degree_threshold(*degrees, params)
+            add_tau(tau)
+        self.invocations = invocation
+        counter = self.counter
+        if labels:
+            counter.add("label_invocation", len(labels))
+        if evaluations:
+            counter.add("similarity_eval", evaluations)
+        if probes:
+            counter.add("neighbour_probe", probes)
+        return labels, taus
 
     def label(self, u: Vertex, v: Vertex) -> EdgeLabel:
         """Label edge ``(u, v)`` with a fresh strategy invocation."""

@@ -25,6 +25,14 @@ the edges tracked since ``x``'s last increment.  In exact mode (ρ = 0) every
 edge has τ = 1; under Jaccard so does every edge with
 ``d_max < 2 / (ρε)``.
 
+**Re-tracking in batches.**  :meth:`UpdateTracker.process_ready` returns
+the edges that matured at one endpoint; DynELM relabels them and hands the
+whole list back to :meth:`UpdateTracker.retrack` with their new τ, in one
+call per endpoint.  ``retrack`` skips the checks of
+:meth:`UpdateTracker.track` (the edges are canonical and untracked by
+construction) and sends each edge to its lane by τ, so an edge moves
+between the heaps and the stamps whenever its τ crosses 1.
+
 Two trackers are provided:
 
 * :class:`UpdateTracker` — the heap-organised tracker used by DynELM.
@@ -36,25 +44,15 @@ Two trackers are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.dt.heap import DtHeap, DtHeapEntry
+from repro.graph.dynamic_graph import Edge, Vertex, canonical_edge
 from repro.instrumentation import NULL_COUNTER, OpCounter
-
-Vertex = Hashable
-Edge = Tuple[Vertex, Vertex]
 
 #: below (or at) this remaining threshold the DT round runs in straightforward
 #: mode (slack 1); equals ``4 * h`` with ``h = 2`` participants.
 STRAIGHTFORWARD_LIMIT = 8
-
-
-def _edge_key(u: Vertex, v: Vertex) -> Edge:
-    """Canonical (ordered) identity of the undirected edge ``(u, v)``."""
-    try:
-        return (u, v) if u <= v else (v, u)  # type: ignore[operator]
-    except TypeError:
-        return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 class _EdgeDTState:
@@ -103,7 +101,7 @@ class UpdateTracker:
     # ------------------------------------------------------------------
     # bookkeeping helpers
     # ------------------------------------------------------------------
-    _key = staticmethod(_edge_key)
+    _key = staticmethod(canonical_edge)
 
     def shared_counter(self, u: Vertex) -> int:
         """Return the shared counter ``s_u`` (0 for unknown vertices)."""
@@ -153,21 +151,45 @@ class UpdateTracker:
         edge = self._key(u, v)
         if edge in self._states or edge in self._stamps.get(u, ()):
             raise ValueError(f"edge {edge!r} is already tracked")
-        if tau == 1:
-            shared = self._shared
-            for endpoint in (u, v):
-                self._stamps.setdefault(endpoint, {})[edge] = shared.setdefault(endpoint, 0)
-            return
-        state = _EdgeDTState(edge, tau)
-        self._states[edge] = state
-        for endpoint in (u, v):
-            self._shared.setdefault(endpoint, 0)
-            heap = self._heaps.setdefault(endpoint, DtHeap())
-            entry = DtHeapEntry(edge, key=0, round_start=0)
-            state.entries[endpoint] = entry
-            heap.push(entry)
-            self._counter.add("heap_op")
-        self._begin_round(state)
+        shared = self._shared
+        shared.setdefault(u, 0)
+        shared.setdefault(v, 0)
+        self.retrack((edge,), (tau,))
+
+    def retrack(self, edges: Sequence[Edge], taus: Sequence[int]) -> None:
+        """Create a DT instance for each edge of ``edges`` with the matching τ.
+
+        The unchecked batch form of :meth:`track` that DynELM's drain uses
+        for the edges :meth:`process_ready` just returned: every edge is
+        canonical, untracked, has a shared counter at both endpoints and a
+        positive τ.  A τ = 1 edge is stamped at both endpoints; any other
+        edge gets a DT instance with one entry in each endpoint's heap.
+        """
+        shared = self._shared
+        stamps = self._stamps
+        for edge, tau in zip(edges, taus):
+            if tau == 1:
+                a, b = edge
+                at_a = stamps.get(a)
+                if at_a is None:
+                    at_a = stamps[a] = {}
+                at_a[edge] = shared[a]
+                at_b = stamps.get(b)
+                if at_b is None:
+                    at_b = stamps[b] = {}
+                at_b[edge] = shared[b]
+                continue
+            state = _EdgeDTState(edge, tau)
+            self._states[edge] = state
+            for endpoint in edge:
+                heap = self._heaps.get(endpoint)
+                if heap is None:
+                    heap = self._heaps[endpoint] = DtHeap()
+                entry = DtHeapEntry(edge, key=0, round_start=0)
+                state.entries[endpoint] = entry
+                heap.push(entry)
+                self._counter.add("heap_op")
+            self._begin_round(state)
 
     def untrack(self, u: Vertex, v: Vertex) -> None:
         """Remove the DT instance for ``(u, v)`` (no-op if not tracked)."""
@@ -223,13 +245,15 @@ class UpdateTracker:
         """
         s_u = self._shared.get(u, 0)
         matured: List[Edge] = []
-        stamps = self._stamps.get(u)
+        all_stamps = self._stamps
+        stamps = all_stamps.get(u)
         if stamps:
             matured = [edge for edge, stamp in stamps.items() if stamp < s_u]
             if matured:
-                for a, b in matured:
-                    del self._stamps[a][a, b]
-                    del self._stamps[b][a, b]
+                for edge in matured:
+                    a, b = edge
+                    del all_stamps[a][edge]
+                    del all_stamps[b][edge]
                 self._counter.add("dt_signal", len(matured))
         heap = self._heaps.get(u)
         if heap is None:
@@ -303,7 +327,7 @@ class NaiveTracker:
         self._incident: Dict[Vertex, Set[Edge]] = {}
         self._counter = counter if counter is not None else NULL_COUNTER
 
-    _key = staticmethod(_edge_key)
+    _key = staticmethod(canonical_edge)
 
     def is_tracked(self, u: Vertex, v: Vertex) -> bool:
         return self._key(u, v) in self._thresholds

@@ -121,6 +121,15 @@ class DynamicGraph:
         """
         return self._adj.get(u, set())
 
+    @property
+    def adjacency(self) -> Dict[Vertex, Set[Vertex]]:
+        """The live map from each vertex to its neighbour set (read only).
+
+        For hot loops that read many neighbourhoods: one ``dict.get`` per
+        vertex instead of a :meth:`neighbours` call.
+        """
+        return self._adj
+
     def closed_neighbourhood(self, u: Vertex) -> Set[Vertex]:
         """Return ``N[u]``: the neighbours of ``u`` plus ``u`` itself (a copy)."""
         closed = set(self._adj.get(u, ()))

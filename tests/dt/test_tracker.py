@@ -153,6 +153,73 @@ class TestUnitThresholdPath:
         assert tracker.register_update(2) == [(1, 2)]
 
 
+class TestRetrackLaneTransitions:
+    """Matured edges re-tracked through the batch form move between the
+    heap lane and the τ = 1 stamp lane; the straw man, which only knows
+    per-edge counters, must see the same maturities throughout."""
+
+    @staticmethod
+    def _update(tracker, naive, vertex, retau):
+        """One DynELM-ordered update at ``vertex``: increment, drain, and
+        re-track every matured edge with threshold ``retau``."""
+        tracker.increment(vertex)
+        matured = tracker.process_ready(vertex)
+        assert sorted(matured) == sorted(naive.register_update(vertex))
+        tracker.retrack(matured, [retau] * len(matured))
+        for a, b in matured:
+            naive.track(a, b, retau)
+        return matured
+
+    def test_heap_edge_moves_to_the_stamp_lane_at_unstamped_vertices(self):
+        tracker, naive = UpdateTracker(), NaiveTracker()
+        tracker.track(1, 2, 3)
+        naive.track(1, 2, 3)
+        assert self._update(tracker, naive, 1, retau=1) == []
+        assert self._update(tracker, naive, 2, retau=1) == []
+        # neither 1 nor 2 has ever held a τ = 1 stamp
+        assert self._update(tracker, naive, 1, retau=1) == [(1, 2)]
+        assert tracker.tracked_threshold(1, 2) == 1
+        assert tracker.heap_size(1) == tracker.heap_size(2) == 0
+        assert tracker.memory_elements()["dt_stamp"] == 2
+        # re-tracked within that update, so it waits for the next one
+        assert tracker.process_ready(2) == []
+        assert self._update(tracker, naive, 2, retau=1) == [(1, 2)]
+        assert tracker.num_tracked() == naive.num_tracked() == 1
+
+    def test_stamp_edge_moves_to_the_heap_lane_at_heapless_vertices(self):
+        tracker, naive = UpdateTracker(), NaiveTracker()
+        tracker.track(1, 2, 1)
+        naive.track(1, 2, 1)
+        # neither 1 nor 2 has a heap yet
+        assert self._update(tracker, naive, 2, retau=4) == [(1, 2)]
+        assert tracker.tracked_threshold(1, 2) == 4
+        assert tracker.heap_size(1) == tracker.heap_size(2) == 1
+        assert tracker.memory_elements()["dt_stamp"] == 0
+        for vertex in (1, 2, 2):
+            assert self._update(tracker, naive, vertex, retau=1) == []
+        assert self._update(tracker, naive, 1, retau=1) == [(1, 2)]
+        assert tracker.heap_size(1) == tracker.heap_size(2) == 0
+        assert self._update(tracker, naive, 1, retau=1) == [(1, 2)]
+
+    def test_retrack_does_what_track_does(self):
+        """The batch form leaves the same state and counts as per-edge track."""
+        edges, taus = [(0, 1), (0, 2), (1, 3), (2, 3)], [1, 5, 1, 12]
+        one_by_one, batched = OpCounter(), OpCounter()
+        trackers = UpdateTracker(one_by_one), UpdateTracker(batched)
+        for tracker in trackers:
+            for vertex in (0, 1, 2, 3, 0):
+                tracker.increment(vertex)
+        for edge, tau in zip(edges, taus):
+            trackers[0].track(*edge, tau)
+        trackers[1].retrack(edges, taus)
+        for tracker in trackers:
+            assert [tracker.tracked_threshold(*edge) for edge in edges] == taus
+        assert trackers[0].memory_elements() == trackers[1].memory_elements()
+        for vertex in (0, 3, 1, 2, 0, 3, 3, 1):
+            assert trackers[0].register_update(vertex) == trackers[1].register_update(vertex)
+        assert one_by_one.snapshot() == batched.snapshot()
+
+
 class TestEquivalenceWithNaiveTracker:
     @pytest.mark.parametrize("seed", range(6))
     def test_same_maturities_as_naive(self, seed):

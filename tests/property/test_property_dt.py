@@ -103,3 +103,32 @@ class TestTrackerEquivalenceDynELMOrder:
                 naive.track(a, b, tau)
             assert sorted(heap_tracker.process_ready(vertex)) == expected
         assert heap_tracker.num_tracked() == naive.num_tracked()
+
+    @given(steps, st.lists(mostly_unit_tau, min_size=1, max_size=50))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_retrack_of_matured_edges_equals_naive(self, updates, retaus):
+        """DynELM's drain: the edges that mature at a vertex are re-tracked
+        in one batch with fresh thresholds, so edges keep crossing between
+        the heap lane and the τ = 1 stamp lane.  The straw man re-tracks
+        them one by one and must see the same maturities."""
+        heap_tracker = UpdateTracker()
+        naive = NaiveTracker()
+        fresh = iter(retaus * 200)
+        for vertex, new_edges, removed in updates:
+            for a, b in removed:
+                heap_tracker.untrack(a, b)
+                naive.untrack(a, b)
+            heap_tracker.increment(vertex)
+            expected = sorted(naive.register_update(vertex))
+            for a, b, tau in new_edges:
+                if a == b or heap_tracker.is_tracked(a, b):
+                    continue
+                heap_tracker.track(a, b, tau)
+                naive.track(a, b, tau)
+            matured = heap_tracker.process_ready(vertex)
+            assert sorted(matured) == expected
+            taus = [next(fresh) for _ in matured]
+            heap_tracker.retrack(matured, taus)
+            for (a, b), tau in zip(matured, taus):
+                naive.track(a, b, tau)
+        assert heap_tracker.num_tracked() == naive.num_tracked()
