@@ -11,7 +11,10 @@ import socket
 import sys
 from pathlib import Path
 
+from repro.persistence import state_at
 from repro.service import ServiceClient
+from repro.service.sharding import SHARD_DIR_FORMAT, make_label_scope
+from repro.service.timetravel import capture_view
 
 
 def free_port() -> int:
@@ -32,18 +35,27 @@ def wait_healthy(port: int, timeout: float) -> None:
         fail(str(exc))
 
 
-def truncate_wal(path: Path, keep_entries: int) -> None:
-    """Rewrite a WAL keeping its header block and the first N entries."""
-    kept: list[str] = []
-    entries = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                if entries >= keep_entries or not line.endswith("\n"):
-                    continue
-                entries += 1
-            kept.append(line)
-    if entries < keep_entries:
-        fail(f"{path} holds only {entries} entries, needed {keep_entries}")
-    path.write_text("".join(kept), encoding="utf-8")
+def reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
+    """The tenant's clustering rebuilt offline at a per-shard position tuple.
+
+    Each shard's state comes from :func:`repro.persistence.state_at` under
+    its labelling scope, and the shards merge through the same capture the
+    ``as_of`` read path uses.  Returns ``(groups, num_edges)`` — the edge
+    count makes the equivalence check meaningful even when the prefix holds
+    no clusters over the probe set.
+    """
+    num_shards = len(positions)
+    maintainers = []
+    for index, position in enumerate(positions):
+        shard_dir = (
+            tenant_dir
+            if num_shards == 1
+            else tenant_dir / SHARD_DIR_FORMAT.format(index=index)
+        )
+        maintainer, _ = state_at(
+            shard_dir, position, scope=make_label_scope(index, num_shards)
+        )
+        maintainers.append(maintainer)
+    view = capture_view(maintainers, positions, maintainers[0].params)
+    groups = {frozenset(group) for group in view.group_by(probe).as_sets() if group}
+    return groups, view.stats()["num_edges"]

@@ -15,9 +15,10 @@ end-to-end through real processes:
 4. **promote** both standby tenants (one through ``repro promote``, one
    through the client API) — the primary being dead, fencing is skipped;
 5. assert **exact cluster equivalence at the acked WAL position**: for
-   each tenant, rebuild the primary's state from its on-disk snapshot +
-   WAL truncated to the standby's acked per-shard positions, and require
-   the promoted standby to partition a probe set identically;
+   each tenant, rebuild the primary's state offline from its on-disk
+   snapshots + WAL at the standby's acked per-shard positions
+   (:func:`repro.persistence.state_at`), and require the promoted
+   standby to partition a probe set identically;
 6. assert **post-promotion writes succeed** against both promoted tenants.
 
 Exits non-zero (with a diagnostic) on any violation — wired into CI as
@@ -40,8 +41,8 @@ primary role).  The script then:
    the watchdog promotes a replacement within the probe budget, that
    exactly one server claims the primary role per tenant (no dueling
    promotion), that surviving standbys are re-parented onto the winner,
-   and that the promoted clustering exactly equals a truncated-WAL
-   sequential replay of the dead primary's disk;
+   and that the promoted clustering exactly equals an offline replay of
+   the dead primary's disk at the promoted positions;
 3. resumes the writers and asserts ingest flows into each new primary.
 
 The watchdog's decision log lands in ``--decision-log`` (default
@@ -64,12 +65,9 @@ import time
 from pathlib import Path
 
 from repro.core.dynelm import Update
-from repro.persistence.snapshot import load_snapshot, restore_dynstrclu
-from repro.persistence.updatelog import UpdateLogReader, list_wal_segments
-from repro.service import EngineConfig, ServiceClient, ServiceError
-from repro.service.sharding import ShardedEngine
+from repro.service import ServiceClient, ServiceError
 
-from _smoke import fail, free_port, truncate_wal, wait_healthy
+from _smoke import fail, free_port, reference, wait_healthy
 
 SOLO, WIDE = "solo", "wide"
 UPDATES = 12000
@@ -138,71 +136,6 @@ def _groups(document: dict) -> set:
         )
         if members
     }
-
-
-def _solo_reference(tenant_dir: Path, position: int, probe) -> tuple:
-    """Sequential replay of the primary's snapshot + WAL prefix [0, P).
-
-    Returns ``(groups, num_edges)`` — the edge count makes the
-    equivalence check meaningful even when the prefix happens to hold no
-    clusters over the probe set.
-    """
-    snapshot = load_snapshot(tenant_dir / "snapshot.json")
-    algo = restore_dynstrclu(snapshot)
-    replayed = snapshot.updates_processed
-    for segment in list_wal_segments(tenant_dir, active_name="wal.log"):
-        if replayed >= position:
-            break
-        reader = UpdateLogReader(segment.path, tolerate_torn_tail=True)
-        cursor = segment.base
-        for update in reader:
-            if cursor >= replayed and replayed < position:
-                algo.apply(update)
-                replayed += 1
-            cursor += 1
-    if replayed != position:
-        fail(
-            f"primary WAL of {tenant_dir} only rebuilds to {replayed}, "
-            f"but the standby acked {position}"
-        )
-    groups = {frozenset(group) for group in algo.group_by(probe).as_sets() if group}
-    return groups, algo.graph.num_edges
-
-
-def _wide_reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
-    """The primary's merged clustering at the standby's per-shard positions.
-
-    Each shard's copied WAL is truncated to the acked prefix and the
-    sharded engine re-opened (reconciliation off: the acked cut is
-    per-shard exact and must not be "repaired").
-    """
-    copy = Path(tempfile.mkdtemp(prefix="failover-ref-")) / "wide"
-    try:
-        shutil.copytree(tenant_dir, copy)
-        for index, position in enumerate(positions):
-            shard_dir = copy / f"shard-{index}"
-            base = 0
-            snapshot_path = shard_dir / "snapshot.json"
-            if snapshot_path.exists():
-                base = json.loads(snapshot_path.read_text(encoding="utf-8")).get(
-                    "updates_processed", 0
-                )
-            truncate_wal(shard_dir / "wal.log", position - base)
-        engine = ShardedEngine(
-            config=EngineConfig(shards=len(positions)), data_dir=copy, reconcile=False
-        )
-        try:
-            groups = {
-                frozenset(group)
-                for group in engine.group_by(probe).as_sets()
-                if group
-            }
-            return groups, engine.view().stats()["num_edges"]
-        finally:
-            engine.kill()
-    finally:
-        # the copy is a whole tenant; drop it once the engine is gone
-        shutil.rmtree(copy.parent, ignore_errors=True)
 
 
 def main() -> int:
@@ -298,8 +231,8 @@ def main() -> int:
 
         # --- exact cluster equivalence at the acked positions ----------
         solo_groups = _groups(solo_client.group_by_raw(PROBE))
-        solo_reference, solo_edges = _solo_reference(
-            primary_root / SOLO, solo_positions[0], PROBE
+        solo_reference, solo_edges = reference(
+            primary_root / SOLO, list(solo_positions), PROBE
         )
         if solo_groups != solo_reference:
             fail(
@@ -314,7 +247,7 @@ def main() -> int:
                 f"reference {solo_edges}"
             )
         wide_groups = _groups(wide_client.group_by_raw(PROBE))
-        wide_reference, wide_edges = _wide_reference(
+        wide_reference, wide_edges = reference(
             primary_root / WIDE, list(wide_positions), PROBE
         )
         if wide_groups != wide_reference:
@@ -552,26 +485,21 @@ def _positions_of(doc: dict) -> list[int]:
 def _verify_cut(
     tenant: str, winner_port: int, doc: dict, dead_root: Path
 ) -> None:
-    """Promoted clustering == truncated-WAL replay of the dead disk."""
+    """Promoted clustering == offline replay of the dead disk."""
     positions = _positions_of(doc)
     with ServiceClient("127.0.0.1", winner_port, tenant=tenant) as client:
         groups = _groups(client.group_by_raw(PROBE))
         edges = client.stats()["num_edges"]
-    if tenant == SOLO:
-        reference, ref_edges = _solo_reference(
-            dead_root / tenant, positions[0], PROBE
-        )
-    else:
-        reference, ref_edges = _wide_reference(dead_root / tenant, positions, PROBE)
-    if groups != reference:
+    expected, ref_edges = reference(dead_root / tenant, positions, PROBE)
+    if groups != expected:
         fail(
             f"{tenant} clustering diverged from the dead primary's WAL at "
-            f"{positions}: {len(groups ^ reference)} differing groups"
+            f"{positions}: {len(groups ^ expected)} differing groups"
         )
     if edges != ref_edges:
         fail(
             f"{tenant} graph diverged at {positions}: promoted standby has "
-            f"{edges} edges, truncated-WAL replay has {ref_edges}"
+            f"{edges} edges, offline replay has {ref_edges}"
         )
     print(
         f"  {tenant}: cluster equivalence holds at {positions} "

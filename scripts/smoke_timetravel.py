@@ -10,13 +10,13 @@ end-to-end through real processes:
 2. drive it with ``repro loadgen`` (a mixed two-tenant stream), recording
    the ``solo`` tenant's applied positions mid-run;
 3. query **three historical positions** plus ``as_of=latest`` on ``solo``
-   and assert each equals an **offline truncated-WAL replay**: restore the
-   newest retained snapshot anchor at or below the position and apply the
-   on-disk WAL sequentially up to it;
+   and assert each equals an **offline replay** of the on-disk state
+   (:func:`repro.persistence.state_at`: the newest retained snapshot
+   anchor at or below the position, then the WAL up to it);
 4. assert the ``wide`` tenant's per-shard ``as_of`` tuple (recorded at a
-   quiescent boundary, then overtaken by fresh writes) equals a fresh
-   engine recovered from a copy of its directory with each shard's WAL
-   truncated to the tuple;
+   quiescent boundary, then overtaken by fresh writes) equals the same
+   offline replay per shard, merged as the live read path merges, in
+   both its groups and its edge count;
 5. assert a repeated query is served from the **materialised-view LRU**
    (hit counter up, replay count unchanged) and that history pruned past
    the retention horizon answers a structured **410 as_of_unavailable**
@@ -30,7 +30,6 @@ the ``timetravel-smoke`` job.  Run locally with::
 
 from __future__ import annotations
 
-import json
 import shutil
 import subprocess
 import sys
@@ -39,12 +38,9 @@ import time
 from pathlib import Path
 
 from repro.core.dynelm import Update
-from repro.persistence.snapshot import list_retained_snapshots, load_snapshot, restore_dynstrclu
-from repro.persistence.updatelog import UpdateLogReader, list_wal_segments
-from repro.service import EngineConfig, ServiceClient, ServiceError
-from repro.service.sharding import ShardedEngine
+from repro.service import ServiceClient, ServiceError
 
-from _smoke import fail, free_port, truncate_wal, wait_healthy
+from _smoke import fail, free_port, reference, wait_healthy
 
 SOLO, WIDE = "solo", "wide"
 UPDATES = 6000
@@ -108,69 +104,6 @@ def _groups(document: dict) -> set:
     }
 
 
-def _solo_reference(tenant_dir: Path, position: int, probe) -> tuple:
-    """Offline truncated-WAL replay: anchor ≤ P, then sequential WAL to P.
-
-    Returns ``(groups, num_edges)`` — the edge count makes the equivalence
-    check meaningful even when the prefix holds no clusters over the probe.
-    """
-    anchors = [
-        anchor
-        for anchor in list_retained_snapshots(tenant_dir)
-        if anchor.position <= position
-    ]
-    if not anchors:
-        fail(f"no retained snapshot anchor at or below {position} in {tenant_dir}")
-    snapshot = load_snapshot(anchors[-1].path)
-    algo = restore_dynstrclu(snapshot)
-    replayed = snapshot.updates_processed
-    for segment in list_wal_segments(tenant_dir, active_name="wal.log"):
-        if replayed >= position:
-            break
-        reader = UpdateLogReader(segment.path, tolerate_torn_tail=True)
-        cursor = segment.base
-        for update in reader:
-            if cursor >= replayed and replayed < position:
-                algo.apply(update)
-                replayed += 1
-            cursor += 1
-    if replayed != position:
-        fail(
-            f"offline WAL replay of {tenant_dir} only rebuilds to {replayed}, "
-            f"asked for {position}"
-        )
-    groups = {frozenset(group) for group in algo.group_by(probe).as_sets() if group}
-    return groups, algo.graph.num_edges
-
-
-def _wide_reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
-    """A fresh engine recovered from a copy truncated to the position tuple."""
-    copy = Path(tempfile.mkdtemp(prefix="timetravel-ref-")) / "wide"
-    shutil.copytree(tenant_dir, copy)
-    for index, position in enumerate(positions):
-        shard_dir = copy / f"shard-{index}"
-        base = 0
-        snapshot_path = shard_dir / "snapshot.json"
-        if snapshot_path.exists():
-            base = json.loads(snapshot_path.read_text(encoding="utf-8")).get(
-                "updates_processed", 0
-            )
-        truncate_wal(shard_dir / "wal.log", position - base)
-    engine = ShardedEngine(
-        config=EngineConfig(shards=len(positions)), data_dir=copy, reconcile=False
-    )
-    try:
-        groups = {
-            frozenset(group)
-            for group in engine.group_by(probe).as_sets()
-            if group
-        }
-        return groups, engine.view().stats()["num_edges"]
-    finally:
-        engine.kill()
-        shutil.rmtree(copy.parent, ignore_errors=True)
-
-
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="timetravel-smoke-"))
     data_root = tmp / "data"
@@ -228,12 +161,11 @@ def main() -> int:
             document = solo_client.group_by_raw(PROBE, as_of=position)
             if document["view_version"] != position or document["as_of"] != [position]:
                 fail(f"as_of={position} answered {document['view_version']}")
-            reference, edges = _solo_reference(data_root / SOLO, position, PROBE)
-            if _groups(document) != reference:
+            expected, edges = reference(data_root / SOLO, [position], PROBE)
+            if _groups(document) != expected:
                 fail(
                     f"solo as_of={position} diverged from the offline "
-                    f"truncated-WAL replay: "
-                    f"{len(_groups(document) ^ reference)} differing groups"
+                    f"replay: {len(_groups(document) ^ expected)} differing groups"
                 )
             historical_stats = solo_client.stats(as_of=position)
             if historical_stats["num_edges"] != edges:
@@ -242,7 +174,7 @@ def main() -> int:
                     f"{historical_stats['num_edges']} edges, reference {edges}"
                 )
             print(f"solo as_of={position} matches offline replay "
-                  f"({len(reference)} groups, {edges} edges)")
+                  f"({len(expected)} groups, {edges} edges)")
         latest = solo_client.group_by_raw(PROBE, as_of="latest")
         live = solo_client.group_by_raw(PROBE)
         if latest["as_of"] != "latest" or _groups(latest) != _groups(live):
@@ -298,16 +230,20 @@ def main() -> int:
         else:
             fail("post-run wide writes never applied")
         document = wide_client.group_by_raw(PROBE, as_of=tuple_positions)
-        reference, edges = _wide_reference(
-            data_root / WIDE, tuple_positions, PROBE
-        )
-        if _groups(document) != reference:
+        expected, edges = reference(data_root / WIDE, tuple_positions, PROBE)
+        if _groups(document) != expected:
             fail(
-                f"wide as_of={tuple_positions} diverged from the truncated "
-                f"recovery: {len(_groups(document) ^ reference)} differing groups"
+                f"wide as_of={tuple_positions} diverged from the offline "
+                f"replay: {len(_groups(document) ^ expected)} differing groups"
             )
-        print(f"wide as_of={tuple_positions} matches truncated recovery "
-              f"({len(reference)} groups, {edges} edges)")
+        historical_edges = wide_client.stats(as_of=tuple_positions)["num_edges"]
+        if historical_edges != edges:
+            fail(
+                f"wide as_of={tuple_positions} graph diverged: view has "
+                f"{historical_edges} edges, reference {edges}"
+            )
+        print(f"wide as_of={tuple_positions} matches offline replay "
+              f"({len(expected)} groups, {edges} edges)")
 
         solo_client.close()
         wide_client.close()

@@ -32,7 +32,7 @@ from repro.persistence import (
     save_snapshot,
     take_snapshot,
 )
-from repro.streaming import SlidingWindowClustering, StreamProcessor
+from repro.streaming import SlidingWindowClustering
 
 __version__ = "1.10.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "load_snapshot",
     "restore_dynstrclu",
     "SlidingWindowClustering",
-    "StreamProcessor",
     "Clusterer",
     "available_backends",
     "make_clusterer",

@@ -17,8 +17,8 @@ makes them interchangeable:
   that cannot track it — see :class:`FullRebuildDeltaMixin`);
 * a **string-keyed registry** — ``make_clusterer("pscan", params)`` builds
   any registered backend from one parameter bundle, so the serving engine,
-  the stream processor, the experiment runner and the CLI all select
-  backends by name instead of hard-wiring a class.
+  the experiment runner and the CLI all select backends by name instead
+  of hard-wiring a class.
 
 Built-in backends
 -----------------

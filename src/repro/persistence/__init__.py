@@ -11,11 +11,14 @@ the two standard persistence primitives for that:
   a fully functional instance from it, without re-running the labelling
   strategy (so the restored clustering is bit-for-bit the snapshotted one);
 * :mod:`repro.persistence.updatelog` — an append-only, human-readable log
-  of edge updates (a write-ahead log) with a reader and a replay helper, so
-  a crashed maintainer can be reconstructed from
+  of edge updates (a write-ahead log) with a reader and a replay helper;
+* :mod:`repro.persistence.recovery` — :func:`state_at`, which rebuilds a
+  data directory's state at any retained stream position (or, by
+  default, after the whole log: crash recovery) from
   ``snapshot + log suffix``.
 """
 
+from repro.persistence.recovery import state_at
 from repro.persistence.snapshot import (
     StateSnapshot,
     load_snapshot,
@@ -46,4 +49,5 @@ __all__ = [
     "write_update_log",
     "read_update_log",
     "replay_updates",
+    "state_at",
 ]

@@ -43,6 +43,9 @@ Edge = Tuple[Vertex, Vertex]
 SNAPSHOT_FORMAT = "repro-strclu-snapshot"
 SNAPSHOT_VERSION = 1
 
+#: File name of the latest checkpoint in an engine's data directory.
+SNAPSHOT_FILE = "snapshot.json"
+
 #: Position-stamped snapshot files retained alongside the WAL segments as
 #: time-travel replay anchors: ``snapshot-<position:012d>.json``.  The fixed
 #: 12-digit zero-padded position makes lexicographic order equal numeric

@@ -29,16 +29,18 @@ concurrent service component:
 * **Durability and crash recovery.**  With a ``data_dir``, every accepted
   update is appended to a WAL *before* it is applied, and a checkpoint
   (atomic snapshot write + WAL rotation) is cut every ``checkpoint_every``
-  updates and on clean shutdown.  On startup the engine restores the last
-  snapshot and replays the WAL suffix, tolerating a torn final entry, so a
+  updates and on clean shutdown.  On startup the engine recovers through
+  :func:`repro.persistence.recovery.state_at`, the one reconstruction
+  path ``as_of`` reads share: it restores the last snapshot and replays
+  the WAL segments after it, tolerating a torn final entry, so a
   restarted engine serves exactly the pre-crash clustering.
 
-The WAL/snapshot handshake uses sequence arithmetic rather than a side
+The WAL/snapshot handshake uses stream positions rather than a side
 metadata file: the snapshot stores the number of updates applied (``S``),
-the WAL records the stream position at which it was started (``B``), and
-recovery replays the WAL entries after position ``S - B``.  Both crash
-windows of a checkpoint — after the snapshot rename but before the WAL
-rotation, and after both — resolve correctly under that arithmetic.
+every WAL segment records the stream position at which it was started,
+and recovery replays the segments from position ``S`` on.  A crash at any
+step of a checkpoint (snapshot write, anchor write, WAL close, rotation,
+new segment) leaves a layout that resolves to the accepted prefix.
 """
 
 from __future__ import annotations
@@ -58,16 +60,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.core.api import SNAPSHOT_CAPABLE_BACKENDS, Clusterer, make_clusterer
 from repro.core.config import StrCluParams
 from repro.core.dynelm import Update, UpdateKind
-from repro.core.dynstrclu import DynStrClu
+from repro.persistence.recovery import state_at
 from repro.persistence.snapshot import (
+    SNAPSHOT_FILE,
     list_retained_snapshots,
-    load_snapshot,
-    restore_dynstrclu,
     retained_snapshot_name,
     take_snapshot,
     write_durable,
 )
 from repro.persistence.updatelog import (
+    WAL_FILE,
     UpdateLogReader,
     UpdateLogWriter,
     WalSegment,
@@ -96,10 +98,6 @@ VIEW_REBUILD_FRACTION = 0.5
 
 #: Recently applied traced positions retained per engine for WAL serving.
 _TRACE_POSITIONS_CAPACITY = 4096
-
-#: File names inside an engine's data directory.
-SNAPSHOT_FILE = "snapshot.json"
-WAL_FILE = "wal.log"
 
 #: Per-engine replication manifest: the fencing epoch and whether this
 #: engine has been fenced off by a promoted standby.  Sharded engines
@@ -412,10 +410,12 @@ class ClusteringEngine:
                 )
             self.data_dir.mkdir(parents=True, exist_ok=True)
             self.epoch, self._fenced = _load_replication_manifest(self.data_dir)
-            self.maintainer, recovered = _recover(
-                self.data_dir, params, connectivity_backend, label_scope
+            self.maintainer, self.recovered_updates = state_at(
+                self.data_dir,
+                params=params,
+                connectivity_backend=connectivity_backend,
+                scope=label_scope,
             )
-            self.recovered_updates = recovered
             if params is not None and self.maintainer.params != params:
                 # the snapshot's params win (they determined the persisted
                 # labelling); the caller must know theirs were ignored
@@ -1184,51 +1184,3 @@ def _store_replication_manifest(data_dir: Path, epoch: int, fenced: bool) -> Non
     """
     document = {"format": REPLICATION_FORMAT, "epoch": epoch, "fenced": fenced}
     write_durable(data_dir / REPLICATION_FILE, json.dumps(document, indent=2))
-
-
-# ----------------------------------------------------------------------
-# recovery
-# ----------------------------------------------------------------------
-def _recover(
-    data_dir: Path,
-    params: Optional[StrCluParams],
-    connectivity_backend: str,
-    label_scope: Optional[Callable[[Vertex, Vertex], bool]] = None,
-) -> Tuple[DynStrClu, int]:
-    """Rebuild the maintainer from ``snapshot + WAL suffix``.
-
-    Returns the maintainer and the number of WAL entries replayed.  The
-    ``label_scope`` predicate (per-shard labelling scope) must be supplied
-    *before* the WAL replay so replayed out-of-scope edges stay graph-only.
-    """
-    snapshot_path = data_dir / SNAPSHOT_FILE
-    wal_path = data_dir / WAL_FILE
-    if snapshot_path.exists():
-        snapshot = load_snapshot(snapshot_path)
-        maintainer = restore_dynstrclu(
-            snapshot,
-            connectivity_backend=connectivity_backend,
-            scope=label_scope,
-        )
-        applied_at_snapshot = snapshot.updates_processed
-    else:
-        if params is None:
-            raise ValueError(
-                f"no snapshot in {data_dir} and no params to start fresh from"
-            )
-        maintainer = DynStrClu(
-            params, connectivity_backend=connectivity_backend, scope=label_scope
-        )
-        applied_at_snapshot = 0
-
-    replayed = 0
-    if wal_path.exists():
-        reader = UpdateLogReader(wal_path, tolerate_torn_tail=True)
-        base = reader.base()
-        skip = max(0, applied_at_snapshot - base)
-        for index, update in enumerate(reader):
-            if index < skip:
-                continue
-            maintainer.apply(update)
-            replayed += 1
-    return maintainer, replayed

@@ -50,13 +50,15 @@ import json
 import random
 import shutil
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.dynelm import Update
 from repro.persistence.snapshot import write_durable
-from repro.persistence.updatelog import UpdateLogReader, WalSegment
+# the standby-facing names of the WAL range reader, which lives beside the
+# segment listing it reads
+from repro.persistence.updatelog import WalGapError, read_wal_range  # noqa: F401
 from repro.service.engine import (
     SNAPSHOT_FILE,
     ClusteringEngine,
@@ -93,18 +95,6 @@ class ReplicationError(EngineError):
     """Base class for replication failures."""
 
 
-class WalGapError(ReplicationError):
-    """The requested WAL position is older than the retained horizon.
-
-    Carries ``min_position``, the earliest position still served; the
-    standby answers it with a snapshot re-seed.
-    """
-
-    def __init__(self, message: str, min_position: int = 0) -> None:
-        super().__init__(message)
-        self.min_position = min_position
-
-
 def parse_primary_url(url: str) -> Tuple[str, int]:
     """``host:port`` or ``http://host:port`` → ``(host, port)``.
 
@@ -127,119 +117,6 @@ def parse_primary_url(url: str) -> Tuple[str, int]:
     except ValueError as exc:
         raise ValueError(f"invalid primary port in {url!r}") from exc
     return host, port
-
-
-# ----------------------------------------------------------------------
-# primary side: serving a WAL range from the on-disk segments
-# ----------------------------------------------------------------------
-@dataclass
-class WalChunk:
-    """One served slice of the stream: ``records`` starting at ``start``.
-
-    ``torn`` marks a *damaged* retained segment — it ended (torn tail or
-    short) before reaching the next segment's base, so the positions in
-    between are unrecoverable from the log and the standby must re-seed.
-    A benign torn tail on the **active** segment (the writer is mid-append
-    right now) is not reported: those records simply arrive on the next
-    poll.
-    """
-
-    start: int
-    records: List[Update]
-    torn: bool
-
-
-def read_wal_range(
-    segments: List[WalSegment],
-    start: int,
-    max_records: int,
-    limit_position: int,
-) -> WalChunk:
-    """Read up to ``max_records`` updates beginning at stream position ``start``.
-
-    ``limit_position`` caps the range at the engine's applied count — the
-    WAL may momentarily hold an entry that is flushed but not yet applied,
-    and a replica must only ever see the applied prefix.  Raises
-    :class:`WalGapError` when ``start`` predates the earliest retained
-    segment.
-    """
-    if start >= limit_position:
-        return WalChunk(start=start, records=[], torn=False)
-    segments = sorted(segments, key=lambda segment: (segment.base, segment.active))
-    if not segments or start < segments[0].base:
-        earliest = segments[0].base if segments else limit_position
-        raise WalGapError(
-            f"position {start} is below the retained WAL horizon {earliest}",
-            min_position=earliest,
-        )
-    records: List[Update] = []
-    position = start
-    for index, segment in enumerate(segments):
-        if segment.base > position:
-            # discontinuity between retained segments: the log cannot
-            # produce the positions in between (a pruned or lost segment)
-            raise WalGapError(
-                f"positions [{position}, {segment.base}) are not retained",
-                min_position=segment.base,
-            )
-        next_base = (
-            segments[index + 1].base if index + 1 < len(segments) else None
-        )
-        if next_base is not None and next_base <= position:
-            continue  # already past this segment
-        reader = UpdateLogReader(segment.path, tolerate_torn_tail=True)
-        # jump over the already-served prefix without parsing it — the
-        # replica polls this route continuously, and re-tokenising the
-        # whole segment up to `from` on every poll would be O(stream)
-        # parse work per poll instead of a line skip
-        try:
-            for update in reader.iter_from(position - segment.base):
-                if segment.active and reader.observed_base != segment.base:
-                    # the writer rotated the active log between the listing
-                    # and this open: the file on disk now starts at a
-                    # different stream position, so the skip arithmetic
-                    # above counted lines of the *wrong* file — serving
-                    # them would hand the replica records mislabelled with
-                    # positions they do not hold.  Stop with whatever the
-                    # still-immutable earlier segments yielded; the next
-                    # poll lists the rotated layout and resumes exactly
-                    return WalChunk(start=start, records=records, torn=False)
-                records.append(update)
-                position += 1
-                if len(records) >= max_records or position >= limit_position:
-                    return WalChunk(start=start, records=records, torn=False)
-        except FileNotFoundError:
-            if segment.active:
-                # rotation gap: the active log was renamed away and not yet
-                # recreated — transient, the next poll sees the new layout
-                return WalChunk(start=start, records=records, torn=False)
-            # a retained segment pruned between listing and opening: the
-            # positions it held are gone for good — report the structured
-            # gap (not a raw 500) so the standby re-seeds immediately
-            resume = next_base if next_base is not None else limit_position
-            raise WalGapError(
-                f"retained segment {segment.path.name} was pruned while "
-                f"being served; positions [{position}, {resume}) are "
-                "no longer retained",
-                min_position=resume,
-            )
-        if segment.active and reader.observed_base != segment.base:
-            # same race, observed after a fetch that yielded nothing new
-            return WalChunk(start=start, records=records, torn=False)
-        cursor = segment.base + reader.entries_skipped + reader.entries_read
-        if next_base is not None and cursor < next_base:
-            # a *closed* segment ended short of its successor — the
-            # reader's torn-tail reporting makes the two causes
-            # distinguishable instead of silently serving a stream with a
-            # hole: a torn tail is damage (report it), a cleanly-ended
-            # short segment means the positions in between were pruned
-            if reader.torn_tail:
-                return WalChunk(start=start, records=records, torn=True)
-            raise WalGapError(
-                f"positions [{cursor}, {next_base}) are not retained",
-                min_position=next_base,
-            )
-    return WalChunk(start=start, records=records, torn=False)
 
 
 def backoff_delay(

@@ -68,8 +68,10 @@ from repro.core.dynelm import Update, UpdateKind
 from repro.graph.dynamic_graph import Vertex
 from repro.persistence.updatelog import (
     UpdateLogError,
+    WalGapError,
     format_vertex_token,
     parse_vertex_token,
+    read_wal_range,
 )
 from repro.service.engine import (
     ClusteringEngine,
@@ -99,9 +101,7 @@ from repro.service.replication import (
     MAX_FETCH_RECORDS,
     ReplicationError,
     StandbyEngine,
-    WalGapError,
     parse_primary_url,
-    read_wal_range,
 )
 from repro.service.sharding import ShardedEngine
 from repro.service.timetravel import AsOfUnavailableError

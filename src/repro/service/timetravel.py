@@ -7,29 +7,28 @@ WAL segments behind them.  This module turns that retention into a read
 feature, following the reenactment idea (replay the log to the requested
 point instead of materialising every version eagerly):
 
-* **Anchor + replay.**  A query ``as_of=P`` locates the newest retained
-  snapshot at position ``≤ P``, restores it through the exact machinery
-  crash recovery and standby re-seeds use
-  (:func:`repro.persistence.snapshot.restore_dynstrclu`), and replays the
-  retained WAL forward through
-  :func:`repro.service.replication.read_wal_range` — the same range reader
-  that ships WAL to standbys — stopping exactly at ``P``.
+* **Anchor + replay.**  A query ``as_of=P`` is answered by
+  :func:`repro.persistence.recovery.state_at` — the one reconstruction
+  path crash recovery also uses — which restores the newest retained
+  snapshot at position ``≤ P`` and replays the retained WAL forward
+  through :func:`repro.persistence.updatelog.read_wal_range` (the same
+  range reader that ships WAL to standbys), stopping exactly at ``P``.
 * **Cached replayers.**  The replayed maintainer is kept per shard; a
-  later query at ``P' ≥ P`` continues the replay forward instead of
-  restarting from an anchor, so walking a tenant's history in order costs
-  each WAL record once.
+  later query at ``P' ≥ P`` continues the replay forward through the
+  same replay step (:func:`~repro.persistence.recovery.replay_wal`)
+  instead of restarting from an anchor, so walking a tenant's history in
+  order costs each WAL record once.
 * **Materialised-view LRU.**  The captured views are held in a
   size-bounded LRU keyed by the requested position tuple, so repeated
   audits of the same epoch are O(1) lookups.
 * **Retention pins.**  Before replaying, the store pins the engine's WAL
-  retention at the anchor position
-  (:meth:`~repro.service.engine.ClusteringEngine.pin_wal`), so a
-  checkpoint cut mid-replay cannot prune the segments out from under it.
-* **Sharded tenants.**  Each shard replays to its own position, exports
-  are captured with :func:`repro.service.sharding.capture_shard_export`,
-  and the per-shard snapshots go through the *live* scatter-gather merge
-  (:func:`repro.service.sharding.merge_shard_views`) — historical sharded
-  reads are exactly as exact as current ones.
+  retention (:meth:`~repro.service.engine.ClusteringEngine.pin_wal`), so
+  a checkpoint cut mid-replay cannot prune the anchor or the segments
+  out from under it.
+* **Sharded tenants.**  Each shard replays to its own position, and
+  :func:`capture_view` merges the per-shard exports through the *live*
+  scatter-gather merge (:func:`repro.service.sharding.merge_shard_views`)
+  — historical sharded reads are exactly as exact as current ones.
 
 History that has been pruned past the retention horizon raises
 :class:`AsOfUnavailableError` (HTTP ``410 as_of_unavailable``) carrying
@@ -43,10 +42,13 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.persistence.snapshot import list_retained_snapshots, load_snapshot, restore_dynstrclu
+from repro.core.config import StrCluParams
+from repro.core.dynstrclu import DynStrClu
+from repro.persistence.recovery import replay_wal, state_at
+from repro.persistence.updatelog import WalGapError
 from repro.service.engine import ClusteringEngine, EngineError
 from repro.service.metrics import LatencyHistogram
-from repro.service.replication import StandbyEngine, WalGapError, read_wal_range
+from repro.service.replication import StandbyEngine
 from repro.service.sharding import (
     AnyEngine,
     ShardedView,
@@ -55,14 +57,6 @@ from repro.service.sharding import (
     merge_shard_views,
 )
 from repro.service.views import ClusteringView
-
-#: Records pulled per replay iteration (matches the shipping clamp).
-REPLAY_FETCH_RECORDS = 4096
-
-#: Consecutive empty fetches tolerated before a replay gives up: an empty
-#: chunk only happens in a rotation race window, which the next listing
-#: resolves, so a long run of them means the WAL cannot produce the range.
-_MAX_REPLAY_STALLS = 50
 
 #: Default bound on materialised historical views kept per tenant.
 DEFAULT_HISTORY_CACHE_SIZE = 8
@@ -92,57 +86,28 @@ class AsOfUnavailableError(EngineError):
         self.shard = shard
 
 
-class _Replayer:
-    """One shard's cached read-only replay maintainer and its position."""
+def capture_view(
+    maintainers: Sequence[DynStrClu],
+    positions: Sequence[int],
+    params: StrCluParams,
+) -> Union[ClusteringView, ShardedView]:
+    """The read view of per-shard maintainers at ``positions``.
 
-    __slots__ = ("maintainer", "position")
-
-    def __init__(self, maintainer: object, position: int) -> None:
-        self.maintainer = maintainer
-        self.position = position
-
-
-def _advance(maintainer: object, target: ClusteringEngine, position: int, goal: int) -> int:
-    """Replay ``target``'s WAL through ``maintainer`` from ``position`` to ``goal``.
-
-    Reuses :func:`read_wal_range` — the standby-shipping range reader —
-    so rotation races, pruned segments and torn tails are handled by the
-    one battle-tested implementation.  Re-lists the segments per
-    iteration (a checkpoint may rotate the active log mid-replay).
+    One maintainer is captured as is; several go through the live
+    scatter-gather merge, exactly as a sharded tenant's current view.
     """
-    stalls = 0
-    while position < goal:
-        try:
-            chunk = read_wal_range(
-                target.wal_segments(), position, REPLAY_FETCH_RECORDS, goal
-            )
-        except WalGapError as exc:
-            raise AsOfUnavailableError(
-                f"positions below {exc.min_position} are no longer retained "
-                f"(requested replay through {goal})",
-                requested=goal,
-                oldest=target.wal_horizon()["oldest_replayable"],
-            ) from exc
-        if chunk.torn:
-            raise AsOfUnavailableError(
-                f"a retained WAL segment is damaged; cannot replay to {goal}",
-                requested=goal,
-                oldest=target.wal_horizon()["oldest_replayable"],
-            )
-        if not chunk.records:
-            stalls += 1
-            if stalls > _MAX_REPLAY_STALLS:
-                raise EngineError(
-                    f"as_of replay stalled at position {position} "
-                    f"(goal {goal}): the WAL cannot produce the range"
-                )
-            time.sleep(0.01)
-            continue
-        stalls = 0
-        for update in chunk.records:
-            maintainer.apply(update)
-            position += 1
-    return position
+    num_shards = len(maintainers)
+    if num_shards == 1:
+        return ClusteringView.capture(maintainers[0], positions[0])
+    owner = _OwnerMap(num_shards)
+    snapshots = tuple(
+        (
+            ClusteringView.capture(maintainer, position),
+            capture_shard_export(maintainer, index, num_shards, position, owner=owner),
+        )
+        for index, (maintainer, position) in enumerate(zip(maintainers, positions))
+    )
+    return merge_shard_views(snapshots, params, num_shards, owner=owner)
 
 
 class HistoricalViewStore:
@@ -173,7 +138,7 @@ class HistoricalViewStore:
         self._lock = threading.Lock()
         self._replay_lock = threading.Lock()
         self._views: "OrderedDict[Tuple[int, ...], object]" = OrderedDict()  # guarded-by: _lock
-        self._replayers: Dict[int, _Replayer] = {}  # guarded-by: _replay_lock
+        self._replayers: Dict[int, DynStrClu] = {}  # guarded-by: _replay_lock
 
     def _targets(self) -> List[ClusteringEngine]:
         targets = self.engine.shards
@@ -238,7 +203,7 @@ class HistoricalViewStore:
                 self._replay_locked(target, index, goal)
                 for index, (target, goal) in enumerate(zip(targets, key))
             ]
-            view = self._capture(maintainers, key)
+            view = capture_view(maintainers, key, self.engine.params)
             self.replay_latency.observe(time.perf_counter() - start)
             with self._lock:
                 self._views[key] = view
@@ -248,25 +213,7 @@ class HistoricalViewStore:
                     metrics.add("timetravel_evictions")
             return view
 
-    def _capture(
-        self, maintainers: List[object], key: Tuple[int, ...]
-    ) -> Union[ClusteringView, ShardedView]:
-        num_shards = self.engine.num_shards
-        if num_shards == 1:
-            return ClusteringView.capture(maintainers[0], key[0])
-        owner = _OwnerMap(num_shards)
-        snapshots = tuple(
-            (
-                ClusteringView.capture(maintainer, position),
-                capture_shard_export(
-                    maintainer, index, num_shards, position, owner=owner
-                ),
-            )
-            for index, (maintainer, position) in enumerate(zip(maintainers, key))
-        )
-        return merge_shard_views(snapshots, self.engine.params, num_shards, owner=owner)
-
-    def _replay_locked(self, target: ClusteringEngine, index: int, goal: int) -> object:
+    def _replay_locked(self, target: ClusteringEngine, index: int, goal: int) -> DynStrClu:
         """A maintainer holding shard ``index``'s state at exactly ``goal``.
 
         Caller holds ``_replay_lock`` (the ``_locked`` suffix is the
@@ -274,64 +221,40 @@ class HistoricalViewStore:
         cached ``_replayers`` are mutated freely here because
         :meth:`view_at` serialises every replay behind that lock.
         """
-        slot = self._replayers.get(index)
-        if slot is not None and slot.position <= goal:
-            token = target.pin_wal(slot.position)
-            try:
-                _advance(slot.maintainer, target, slot.position, goal)
-                slot.position = goal
-                return slot.maintainer
-            except AsOfUnavailableError:
-                # the WAL behind the cached replayer was pruned (or is
-                # damaged): drop it and rebuild from a fresh anchor below
-                self._replayers.pop(index, None)
-            except BaseException:
-                # a replay that died mid-application leaves the cached
-                # maintainer between positions — unusable, discard it
-                self._replayers.pop(index, None)
-                raise
-            finally:
-                target.unpin_wal(token)
-        anchors = [
-            anchor
-            for anchor in list_retained_snapshots(target.data_dir)
-            if anchor.position <= goal
-        ]
-        if not anchors:
+        cached = self._replayers.pop(index, None)
+        # pinned at 0: a cold replay may anchor at any retained snapshot
+        token = target.pin_wal(0)
+        try:
+            maintainer = None
+            if cached is not None and cached.updates_processed <= goal:
+                try:
+                    replay_wal(cached, target.data_dir, goal)
+                    maintainer = cached
+                except WalGapError:
+                    pass  # its WAL was pruned or is damaged: re-anchor below
+            if maintainer is None:
+                maintainer, _ = state_at(
+                    target.data_dir,
+                    goal,
+                    connectivity_backend=target.connectivity_backend,
+                    scope=target.label_scope,
+                )
+        except (WalGapError, FileNotFoundError) as exc:
+            # FileNotFoundError: an anchor pruned between listing and load
+            sharded = self.engine.num_shards > 1
             raise AsOfUnavailableError(
-                f"no retained snapshot at or below position {goal}"
-                + (f" for shard {index}" if self.engine.num_shards > 1 else ""),
+                f"cannot replay to position {goal}"
+                + (f" of shard {index}" if sharded else "")
+                + f": {exc}",
                 requested=goal,
                 oldest=target.wal_horizon()["oldest_replayable"],
-                shard=index if self.engine.num_shards > 1 else None,
-            )
-        anchor = anchors[-1]
-        token = target.pin_wal(anchor.position)
-        try:
-            try:
-                snapshot = load_snapshot(anchor.path)
-            except FileNotFoundError:
-                # pruned between the listing and the pin landing
-                raise AsOfUnavailableError(
-                    f"snapshot anchor at {anchor.position} was pruned",
-                    requested=goal,
-                    oldest=target.wal_horizon()["oldest_replayable"],
-                    shard=index if self.engine.num_shards > 1 else None,
-                ) from None
-            maintainer = restore_dynstrclu(
-                snapshot,
-                connectivity_backend=target.connectivity_backend,
-                scope=target.label_scope,
-            )
-            try:
-                _advance(maintainer, target, snapshot.updates_processed, goal)
-            except AsOfUnavailableError as exc:
-                if self.engine.num_shards > 1 and exc.shard is None:
-                    exc.shard = index
-                raise
+                shard=index if sharded else None,
+            ) from exc
+        except TimeoutError as exc:
+            raise EngineError(f"as_of {exc}") from exc
         finally:
             target.unpin_wal(token)
-        self._replayers[index] = _Replayer(maintainer, goal)
+        self._replayers[index] = maintainer
         return maintainer
 
     # ------------------------------------------------------------------

@@ -2,27 +2,17 @@
 
 The paper's motivating scenario is a graph that changes continuously
 (social interactions, protein measurements, blockchain transfers).  This
-package provides the two front-ends a streaming deployment needs:
-
-* :mod:`repro.streaming.window` — a sliding-window view of an interaction
-  stream: every edge carries a timestamp, and edges older than the window
-  are automatically deleted from the maintained graph, so the clustering
-  always reflects the recent past;
-* :mod:`repro.streaming.processor` — a stream processor that applies an
-  update stream to a maintainer, takes periodic clustering snapshots,
-  feeds them through :class:`~repro.analysis.tracking.ClusterTracker`, and
-  notifies registered listeners of cluster events (born / merged / split /
-  dissolved …), with optional write-ahead logging and checkpointing via
-  :mod:`repro.persistence`.
+package provides :mod:`repro.streaming.window`, a sliding-window view of
+an interaction stream: every edge carries a timestamp, and edges older
+than the window are automatically deleted from the maintained graph, so
+the clustering always reflects the recent past.  Durable ingest (WAL,
+checkpoints, crash recovery) is
+:class:`repro.service.engine.ClusteringEngine`.
 """
 
-from repro.streaming.processor import StreamListener, StreamProcessor, StreamReport
 from repro.streaming.window import SlidingWindowClustering, TimedEdge
 
 __all__ = [
     "SlidingWindowClustering",
     "TimedEdge",
-    "StreamProcessor",
-    "StreamListener",
-    "StreamReport",
 ]

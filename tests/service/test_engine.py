@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from repro.core.dynelm import Update
 from repro.core.dynstrclu import DynStrClu
 from repro.core.result import clusterings_equal
 from repro.graph.generators import planted_partition_graph
+from repro.persistence.updatelog import UpdateLogWriter
+from repro.service import engine as engine_module
 from repro.service.engine import (
     ClusteringEngine,
     EngineBackpressure,
@@ -398,3 +402,98 @@ class TestCloseRaceWindow:
         engine.close(checkpoint=False)
         assert engine.applied == 4
         assert engine.view().version == 4
+
+
+#: The durable steps of ``ClusteringEngine._checkpoint``, in order.
+CHECKPOINT_STEPS = ["snapshot", "anchor", "wal_close", "rotate", "new_wal"]
+
+
+def _crash_at(monkeypatch, step):
+    """Make checkpoint step ``step`` raise; returns the list it records into."""
+    fired = []
+
+    def boom(*_args, **_kwargs):
+        fired.append(step)
+        raise OSError(f"injected crash at the {step} step")
+
+    if step in ("snapshot", "anchor"):
+        real_write = engine_module.write_durable
+
+        def write_durable(path, text):
+            if (Path(path).name == "snapshot.json") == (step == "snapshot"):
+                boom()
+            real_write(path, text)
+
+        monkeypatch.setattr(engine_module, "write_durable", write_durable)
+    elif step == "wal_close":
+        monkeypatch.setattr(UpdateLogWriter, "close", boom)
+    elif step == "rotate":
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(src).name == "wal.log":
+                boom()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+    else:
+        monkeypatch.setattr(engine_module, "UpdateLogWriter", boom)
+    return fired
+
+
+class TestCrashDuringCheckpoint:
+    """A crash at any durable step of a checkpoint recovers the accepted prefix.
+
+    Each step is made to raise inside the writer's periodic checkpoint,
+    and the engine is then killed.  The reopened engine must hold exactly
+    the updates that reached the WAL, equal to a sequential DynStrClu over
+    that prefix, and keep ingesting and time-travelling over the layout
+    the crash left behind.
+    """
+
+    @pytest.mark.parametrize("step", CHECKPOINT_STEPS)
+    def test_reopen_equals_sequential_prefix(self, step, tmp_path, monkeypatch):
+        from repro.service.engine import EngineError
+        from repro.service.timetravel import HistoricalViewStore
+
+        stream = _workload_stream(num_updates=90)
+        config = EngineConfig(
+            batch_size=7, checkpoint_every=25, wal_retain_segments=8
+        )
+        engine = ClusteringEngine(PARAMS, config=config, data_dir=tmp_path).start()
+        for update in stream[:30]:  # one clean periodic checkpoint first
+            engine.submit(update)
+        engine.flush(timeout=30)
+        fired = _crash_at(monkeypatch, step)
+        try:
+            for update in stream[30:]:
+                engine.submit(update)
+            engine.flush(timeout=30)
+        except EngineError:
+            pass  # the writer died in the checkpoint
+        assert fired, f"the {step} step never ran"
+        accepted = engine.applied
+        engine.kill()
+        monkeypatch.undo()
+
+        recovered = ClusteringEngine(PARAMS, config=config, data_dir=tmp_path)
+        try:
+            assert recovered.applied == accepted
+            assert clusterings_equal(
+                recovered.view().clustering,
+                _sequential(stream[:accepted]).clustering(),
+            )
+        finally:
+            recovered.close(checkpoint=False)
+
+        with ClusteringEngine(PARAMS, config=config, data_dir=tmp_path) as engine:
+            for update in stream[accepted:]:
+                engine.submit(update)
+            engine.flush(timeout=30)
+            assert clusterings_equal(
+                engine.view().clustering, _sequential(stream).clustering()
+            )
+            historical = HistoricalViewStore(engine).view_at((accepted,))
+            assert clusterings_equal(
+                historical.clustering, _sequential(stream[:accepted]).clustering()
+            )

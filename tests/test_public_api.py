@@ -25,7 +25,6 @@ class TestPublicAPI:
     def test_extension_entry_points_present(self):
         for name in (
             "SlidingWindowClustering",
-            "StreamProcessor",
             "ClusterTracker",
             "classify_roles",
             "take_snapshot",
