@@ -35,14 +35,14 @@ def wait_healthy(port: int, timeout: float) -> None:
         fail(str(exc))
 
 
-def reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
+def reference(tenant_dir: Path, positions: list[int]) -> tuple:
     """The tenant's clustering rebuilt offline at a per-shard position tuple.
 
     Each shard's state comes from :func:`repro.persistence.state_at` under
     its labelling scope, and the shards merge through the same capture the
-    ``as_of`` read path uses.  Returns ``(groups, num_edges)`` — the edge
-    count makes the equivalence check meaningful even when the prefix holds
-    no clusters over the probe set.
+    ``as_of`` read path uses.  Returns ``(groups, num_edges, vertices)``:
+    the clusters over every vertex of the rebuilt graph, its edge count,
+    and those vertices, which the caller probes the server with.
     """
     num_shards = len(positions)
     maintainers = []
@@ -57,5 +57,14 @@ def reference(tenant_dir: Path, positions: list[int], probe) -> tuple:
         )
         maintainers.append(maintainer)
     view = capture_view(maintainers, positions, maintainers[0].params)
-    groups = {frozenset(group) for group in view.group_by(probe).as_sets() if group}
-    return groups, view.stats()["num_edges"]
+    vertices = sorted(
+        {v for maintainer in maintainers for v in maintainer.graph.vertices()}, key=str
+    )
+    groups = {frozenset(group) for group in view.group_by(vertices).as_sets() if group}
+    return groups, view.stats()["num_edges"], vertices
+
+
+def describe(groups: set, edges: int) -> str:
+    """``N groups over M clustered vertices, E edges`` for a progress line."""
+    clustered = len(frozenset().union(*groups))
+    return f"{len(groups)} groups over {clustered} clustered vertices, {edges} edges"

@@ -18,7 +18,8 @@ end-to-end through real processes:
    each tenant, rebuild the primary's state offline from its on-disk
    snapshots + WAL at the standby's acked per-shard positions
    (:func:`repro.persistence.state_at`), and require the promoted
-   standby to partition a probe set identically;
+   standby to partition every vertex of that state identically and to
+   hold the same number of edges;
 6. assert **post-promotion writes succeed** against both promoted tenants.
 
 Exits non-zero (with a diagnostic) on any violation — wired into CI as
@@ -67,12 +68,11 @@ from pathlib import Path
 from repro.core.dynelm import Update
 from repro.service import ServiceClient, ServiceError
 
-from _smoke import fail, free_port, reference, wait_healthy
+from _smoke import describe, fail, free_port, reference, wait_healthy
 
 SOLO, WIDE = "solo", "wide"
 UPDATES = 12000
 MIN_REPLICATED = 300  # positions each tenant must reach before the kill
-PROBE = [f"{tenant}:{i}" for tenant in (SOLO, WIDE) for i in range(120)]
 
 
 def _serve(port: int, data_root: Path) -> subprocess.Popen:
@@ -110,7 +110,7 @@ def _loadgen(port: int) -> subprocess.Popen:
             "--tenant",
             WIDE,
             "--dataset",
-            "email",
+            "google",
             "--updates",
             str(UPDATES),
             "--query-ratio",
@@ -230,10 +230,10 @@ def main() -> int:
             fail(f"wide promotion incomplete: {wide_promotion}")
 
         # --- exact cluster equivalence at the acked positions ----------
-        solo_groups = _groups(solo_client.group_by_raw(PROBE))
-        solo_reference, solo_edges = reference(
-            primary_root / SOLO, list(solo_positions), PROBE
+        solo_reference, solo_edges, solo_vertices = reference(
+            primary_root / SOLO, list(solo_positions)
         )
+        solo_groups = _groups(solo_client.group_by_raw(solo_vertices))
         if solo_groups != solo_reference:
             fail(
                 f"solo clustering diverged at acked position "
@@ -246,10 +246,10 @@ def main() -> int:
                 f"standby has {solo_client.stats()['num_edges']} edges, "
                 f"reference {solo_edges}"
             )
-        wide_groups = _groups(wide_client.group_by_raw(PROBE))
-        wide_reference, wide_edges = reference(
-            primary_root / WIDE, list(wide_positions), PROBE
+        wide_reference, wide_edges, wide_vertices = reference(
+            primary_root / WIDE, list(wide_positions)
         )
+        wide_groups = _groups(wide_client.group_by_raw(wide_vertices))
         if wide_groups != wide_reference:
             fail(
                 f"wide clustering diverged at acked positions "
@@ -264,9 +264,9 @@ def main() -> int:
             )
         print(
             f"cluster equivalence holds: solo at {solo_positions[0]} "
-            f"({len(solo_groups)} groups, {solo_edges} edges), "
+            f"({describe(solo_groups, solo_edges)}), "
             f"wide at {list(wide_positions)} "
-            f"({len(wide_groups)} groups, {wide_edges} edges)"
+            f"({describe(wide_groups, wide_edges)})"
         )
 
         # --- post-promotion writes -------------------------------------
@@ -325,7 +325,7 @@ WATCHDOG_PROBE_TIMEOUT = 1.0
 class _Writer(threading.Thread):
     """Live load against one tenant through a replica-set client.
 
-    Strictly toggling inserts/deletes over the probe vertex space (the
+    Strictly toggling inserts/deletes over a 120-vertex ring (the
     same applicability rule the property tests use), pausable so each
     round's equivalence check sees a frozen cut.
     """
@@ -487,10 +487,10 @@ def _verify_cut(
 ) -> None:
     """Promoted clustering == offline replay of the dead disk."""
     positions = _positions_of(doc)
+    expected, ref_edges, vertices = reference(dead_root / tenant, positions)
     with ServiceClient("127.0.0.1", winner_port, tenant=tenant) as client:
-        groups = _groups(client.group_by_raw(PROBE))
+        groups = _groups(client.group_by_raw(vertices))
         edges = client.stats()["num_edges"]
-    expected, ref_edges = reference(dead_root / tenant, positions, PROBE)
     if groups != expected:
         fail(
             f"{tenant} clustering diverged from the dead primary's WAL at "
@@ -503,7 +503,7 @@ def _verify_cut(
         )
     print(
         f"  {tenant}: cluster equivalence holds at {positions} "
-        f"({len(groups)} groups, {edges} edges)"
+        f"({describe(groups, edges)})"
     )
 
 

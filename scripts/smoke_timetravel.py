@@ -40,7 +40,7 @@ from pathlib import Path
 from repro.core.dynelm import Update
 from repro.service import ServiceClient, ServiceError
 
-from _smoke import fail, free_port, reference, wait_healthy
+from _smoke import describe, fail, free_port, reference, wait_healthy
 
 SOLO, WIDE = "solo", "wide"
 UPDATES = 6000
@@ -62,7 +62,7 @@ def _serve(port: int, data_root: Path) -> subprocess.Popen:
             "--checkpoint-every",
             str(CHECKPOINT_EVERY),
             "--epsilon",
-            "0.3",
+            "0.15",
             "--mu",
             "2",
             "--rho",
@@ -85,7 +85,7 @@ def _loadgen(port: int) -> subprocess.Popen:
             "--tenant",
             WIDE,
             "--dataset",
-            "email",
+            "google",
             "--updates",
             str(UPDATES),
             "--query-ratio",
@@ -158,10 +158,10 @@ def main() -> int:
         while len(positions) < 3:  # thin recording: synthesise nearby cuts
             positions.append(max(oldest, solo_applied - 7 * (len(positions) + 1)))
         for position in sorted(set(positions)):
-            document = solo_client.group_by_raw(PROBE, as_of=position)
+            expected, edges, vertices = reference(data_root / SOLO, [position])
+            document = solo_client.group_by_raw(vertices, as_of=position)
             if document["view_version"] != position or document["as_of"] != [position]:
                 fail(f"as_of={position} answered {document['view_version']}")
-            expected, edges = reference(data_root / SOLO, [position], PROBE)
             if _groups(document) != expected:
                 fail(
                     f"solo as_of={position} diverged from the offline "
@@ -174,9 +174,9 @@ def main() -> int:
                     f"{historical_stats['num_edges']} edges, reference {edges}"
                 )
             print(f"solo as_of={position} matches offline replay "
-                  f"({len(expected)} groups, {edges} edges)")
-        latest = solo_client.group_by_raw(PROBE, as_of="latest")
-        live = solo_client.group_by_raw(PROBE)
+                  f"({describe(expected, edges)})")
+        latest = solo_client.group_by_raw(vertices, as_of="latest")
+        live = solo_client.group_by_raw(vertices)
         if latest["as_of"] != "latest" or _groups(latest) != _groups(live):
             fail("as_of=latest does not serve the live view")
         print("solo as_of=latest serves the live view")
@@ -229,8 +229,8 @@ def main() -> int:
             time.sleep(0.1)
         else:
             fail("post-run wide writes never applied")
-        document = wide_client.group_by_raw(PROBE, as_of=tuple_positions)
-        expected, edges = reference(data_root / WIDE, tuple_positions, PROBE)
+        expected, edges, vertices = reference(data_root / WIDE, tuple_positions)
+        document = wide_client.group_by_raw(vertices, as_of=tuple_positions)
         if _groups(document) != expected:
             fail(
                 f"wide as_of={tuple_positions} diverged from the offline "
@@ -243,7 +243,7 @@ def main() -> int:
                 f"{historical_edges} edges, reference {edges}"
             )
         print(f"wide as_of={tuple_positions} matches offline replay "
-              f"({len(expected)} groups, {edges} edges)")
+              f"({describe(expected, edges)})")
 
         solo_client.close()
         wide_client.close()

@@ -16,68 +16,91 @@ CLI: ``repro bench --matrix benchmarks/capacity_matrix.json`` and
 ``repro bench gate BENCH_*.json --floors benchmarks/floors.json``.
 """
 
-from repro.bench.gate import (
-    FLOORS_SCHEMA_VERSION,
-    CheckResult,
-    FloorsError,
-    GateOutcome,
-    evaluate_report,
-    gate_reports,
-    load_floors,
-    resolve_metric,
-    validate_floors,
-)
-from repro.bench.report import (
-    SCHEMA_VERSION,
-    build_report,
-    host_fingerprint,
-    percentile_from_buckets,
-    render_summary,
-    summary_rows,
-)
-from repro.bench.runner import (
-    BenchRunError,
-    CapacityRunner,
-    ProbeResult,
-    RunnerOptions,
-    run_matrix,
-    search_max_sustainable,
-)
-from repro.bench.spec import (
-    BenchSpec,
-    ReplicaTopology,
-    SpecError,
-    expand_matrix,
-    load_matrix,
-    select_specs,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BenchRunError",
-    "BenchSpec",
-    "CapacityRunner",
-    "CheckResult",
-    "FLOORS_SCHEMA_VERSION",
-    "FloorsError",
-    "GateOutcome",
-    "ProbeResult",
-    "ReplicaTopology",
-    "RunnerOptions",
-    "SCHEMA_VERSION",
-    "SpecError",
-    "build_report",
-    "evaluate_report",
-    "expand_matrix",
-    "gate_reports",
-    "host_fingerprint",
-    "load_floors",
-    "load_matrix",
-    "percentile_from_buckets",
-    "render_summary",
-    "resolve_metric",
-    "run_matrix",
-    "search_max_sustainable",
-    "select_specs",
-    "summary_rows",
-    "validate_floors",
-]
+from repro._lazy import lazy_exports
+
+#: Public name -> the module that defines it, imported on first access
+#: (``repro bench gate`` never loads the runner and its servers).
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.bench.gate": (
+            "FLOORS_SCHEMA_VERSION",
+            "CheckResult",
+            "FloorsError",
+            "GateOutcome",
+            "evaluate_report",
+            "gate_reports",
+            "load_floors",
+            "resolve_metric",
+            "validate_floors",
+        ),
+        "repro.bench.report": (
+            "SCHEMA_VERSION",
+            "build_report",
+            "host_fingerprint",
+            "percentile_from_buckets",
+            "render_summary",
+            "summary_rows",
+        ),
+        "repro.bench.runner": (
+            "BenchRunError",
+            "CapacityRunner",
+            "ProbeResult",
+            "RunnerOptions",
+            "run_matrix",
+            "search_max_sustainable",
+        ),
+        "repro.bench.spec": (
+            "BenchSpec",
+            "ReplicaTopology",
+            "SpecError",
+            "expand_matrix",
+            "load_matrix",
+            "select_specs",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.bench.gate import (
+        FLOORS_SCHEMA_VERSION,
+        CheckResult,
+        FloorsError,
+        GateOutcome,
+        evaluate_report,
+        gate_reports,
+        load_floors,
+        resolve_metric,
+        validate_floors,
+    )
+    from repro.bench.report import (
+        SCHEMA_VERSION,
+        build_report,
+        host_fingerprint,
+        percentile_from_buckets,
+        render_summary,
+        summary_rows,
+    )
+    from repro.bench.runner import (
+        BenchRunError,
+        CapacityRunner,
+        ProbeResult,
+        RunnerOptions,
+        run_matrix,
+        search_max_sustainable,
+    )
+    from repro.bench.spec import (
+        BenchSpec,
+        ReplicaTopology,
+        SpecError,
+        expand_matrix,
+        load_matrix,
+        select_specs,
+    )

@@ -701,7 +701,7 @@ def _cmd_watchdog(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.service import DecisionLog, FleetError, FleetWatchdog, WatchdogConfig
-    from repro.service.replication import parse_primary_url
+    from repro.service.client import parse_primary_url
 
     try:
         for target in args.targets:

@@ -167,23 +167,28 @@ class DynStrClu:
                 else:
                     self.cores.discard(v)
 
+        # the similar neighbours of each flipped vertex, copied once: the
+        # category moves below change which half of x's union v sits in,
+        # never the union of v itself
+        flipped = [(v, self.aux.similar_neighbours(v)) for v in core_flips]
+
         # neighbour categories follow the new core status of the flipped vertices
-        for v in core_flips:
+        for v, neighbours in flipped:
             v_is_core = v in self.cores
-            for x in self.aux.similar_neighbours(v):
+            for x in neighbours:
                 self.aux.set_neighbour_core_status(x, v, v_is_core)
 
         # the flip set of this update (paper's F, vertex form): the touched
         # endpoints, plus every vertex attached to a core whose status
         # flipped — exactly the vertices whose membership can have changed
         self._view_flips.update(touched)
-        for v in core_flips:
-            self._view_flips.update(self.aux.similar_neighbours(v))
+        for _v, neighbours in flipped:
+            self._view_flips.update(neighbours)
 
         # --- sim-core edge flips (F') and G_core maintenance ------------------
         candidates: Set[Edge] = {edge for edge, _ in events}
-        for v in core_flips:
-            for x in self.aux.similar_neighbours(v):
+        for v, neighbours in flipped:
+            for x in neighbours:
                 candidates.add(canonical_edge(v, x))
 
         graph = self.graph

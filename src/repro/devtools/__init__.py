@@ -22,6 +22,8 @@ REPRO601   thread-hygiene   ``threading.Thread`` without an explicit ``name=``
 REPRO602   thread-hygiene   thread stored on ``self`` but never joined
 REPRO701   span-hygiene     tracer ``span()`` opened outside a ``with``
 REPRO801   engine-surface   ``getattr()`` on an engine in ``repro.service``
+REPRO802   import-layering  module-level ``asyncio`` or ``repro.service.server``
+                            import outside ``server.py``
 ========== ================ ==================================================
 """
 
@@ -42,6 +44,7 @@ from repro.devtools.core import (
     select_checkers,
 )
 from repro.devtools.durability import DurableWriteChecker
+from repro.devtools.layering import ImportLayeringChecker
 from repro.devtools.locking import GuardedFieldChecker, ThreadHygieneChecker
 from repro.devtools.spans import SpanHygieneChecker
 from repro.devtools.surface import EngineSurfaceChecker
@@ -64,6 +67,7 @@ __all__ = [
     "ThreadHygieneChecker",
     "SpanHygieneChecker",
     "EngineSurfaceChecker",
+    "ImportLayeringChecker",
 ]
 
 
@@ -78,4 +82,5 @@ def all_checkers() -> List[Checker]:
         ThreadHygieneChecker(),
         SpanHygieneChecker(),
         EngineSurfaceChecker(),
+        ImportLayeringChecker(),
     ]

@@ -59,134 +59,142 @@ hosts many isolated tenants behind one versioned HTTP surface:
 Exposed on the CLI as ``repro serve`` and ``repro loadgen``.
 """
 
-from repro.service.client import (
-    BackpressureError,
-    ServiceClient,
-    ServiceError,
-    TransportError,
-)
-from repro.service.engine import (
-    ClusteringEngine,
-    EngineBackpressure,
-    EngineClosed,
-    EngineConfig,
-    EngineError,
-    EngineFenced,
-    ReadOnlyEngineError,
-)
-from repro.service.loadgen import (
-    ClientTarget,
-    EngineTarget,
-    LoadGenConfig,
-    LoadGenerator,
-    LoadReport,
-    MultiTenantLoadGenerator,
-)
-from repro.service.manager import (
-    DEFAULT_TENANT,
-    EngineManager,
-    NotAStandbyError,
-    TenantConfig,
-    TenantDeleteError,
-    TenantError,
-    TenantExistsError,
-    TenantLimitError,
-    UnknownTenantError,
-)
-from repro.service.fleet import (
-    DecisionLog,
-    FleetError,
-    FleetWatchdog,
-    WatchdogConfig,
-)
-from repro.service.replication import (
-    ReplicationError,
-    StandbyEngine,
-    WalGapError,
-    WalShipper,
-)
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
-from repro.service.obs import (
-    SpanContext,
-    Tracer,
-    configure_tracer,
-    decision_events,
-    get_tracer,
-    new_trace_id,
-    parse_prometheus_text,
-    register_decision_log,
-    render_metrics,
-    sample_stacks,
-)
-from repro.service.server import BackgroundServer, ClusteringServiceServer
-from repro.service.sharding import (
-    ShardedEngine,
-    ShardedView,
-    ShardExport,
-    make_engine,
-    shard_of,
-)
-from repro.service.timetravel import (
-    AsOfUnavailableError,
-    HistoricalViewStore,
-)
-from repro.service.views import ClusteringView
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ClusteringEngine",
-    "ShardedEngine",
-    "ShardedView",
-    "ShardExport",
-    "StandbyEngine",
-    "WalShipper",
-    "make_engine",
-    "shard_of",
-    "EngineConfig",
-    "EngineError",
-    "EngineBackpressure",
-    "EngineClosed",
-    "EngineFenced",
-    "ReadOnlyEngineError",
-    "ReplicationError",
-    "WalGapError",
-    "FleetWatchdog",
-    "WatchdogConfig",
-    "DecisionLog",
-    "FleetError",
-    "HistoricalViewStore",
-    "AsOfUnavailableError",
-    "EngineManager",
-    "NotAStandbyError",
-    "TenantConfig",
-    "TenantDeleteError",
-    "TenantError",
-    "TenantExistsError",
-    "TenantLimitError",
-    "UnknownTenantError",
-    "DEFAULT_TENANT",
-    "ClusteringView",
-    "ClusteringServiceServer",
-    "BackgroundServer",
-    "ServiceClient",
-    "ServiceError",
-    "BackpressureError",
-    "TransportError",
-    "ServiceMetrics",
-    "LatencyHistogram",
-    "Tracer",
-    "SpanContext",
-    "configure_tracer",
-    "get_tracer",
-    "new_trace_id",
-    "render_metrics",
-    "parse_prometheus_text",
-    "sample_stacks",
-    "decision_events",
-    "register_decision_log",
-    "LoadGenerator",
-    "LoadGenConfig",
-    "LoadReport",
-    "EngineTarget",
-    "ClientTarget",
-    "MultiTenantLoadGenerator",
-]
+from repro._lazy import lazy_exports
+
+#: Public name -> the module that defines it, imported on first access:
+#: a client-only process never loads the engine, and only a process that
+#: touches :mod:`repro.service.server` loads asyncio.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.persistence.updatelog": ("WalGapError",),
+        "repro.service.client": (
+            "BackpressureError",
+            "ServiceClient",
+            "ServiceError",
+            "TransportError",
+        ),
+        "repro.service.engine": (
+            "ClusteringEngine",
+            "EngineBackpressure",
+            "EngineClosed",
+            "EngineConfig",
+            "EngineError",
+            "EngineFenced",
+            "ReadOnlyEngineError",
+        ),
+        "repro.service.fleet": (
+            "DecisionLog",
+            "FleetError",
+            "FleetWatchdog",
+            "WatchdogConfig",
+        ),
+        "repro.service.loadgen": (
+            "ClientTarget",
+            "EngineTarget",
+            "LoadGenConfig",
+            "LoadGenerator",
+            "LoadReport",
+            "MultiTenantLoadGenerator",
+        ),
+        "repro.service.manager": (
+            "DEFAULT_TENANT",
+            "EngineManager",
+            "NotAStandbyError",
+            "TenantConfig",
+            "TenantDeleteError",
+            "TenantError",
+            "TenantExistsError",
+            "TenantLimitError",
+            "UnknownTenantError",
+        ),
+        "repro.service.metrics": ("LatencyHistogram", "ServiceMetrics"),
+        "repro.service.obs": (
+            "SpanContext",
+            "Tracer",
+            "configure_tracer",
+            "decision_events",
+            "get_tracer",
+            "new_trace_id",
+            "parse_prometheus_text",
+            "register_decision_log",
+            "render_metrics",
+            "sample_stacks",
+        ),
+        "repro.service.replication": ("ReplicationError", "StandbyEngine", "WalShipper"),
+        "repro.service.server": ("BackgroundServer", "ClusteringServiceServer"),
+        "repro.service.sharding": (
+            "ShardExport",
+            "ShardedEngine",
+            "ShardedView",
+            "make_engine",
+            "shard_of",
+        ),
+        "repro.service.timetravel": ("AsOfUnavailableError", "HistoricalViewStore"),
+        "repro.service.views": ("ClusteringView",),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.persistence.updatelog import WalGapError
+    from repro.service.client import BackpressureError, ServiceClient, ServiceError, TransportError
+    from repro.service.engine import (
+        ClusteringEngine,
+        EngineBackpressure,
+        EngineClosed,
+        EngineConfig,
+        EngineError,
+        EngineFenced,
+        ReadOnlyEngineError,
+    )
+    from repro.service.fleet import DecisionLog, FleetError, FleetWatchdog, WatchdogConfig
+    from repro.service.loadgen import (
+        ClientTarget,
+        EngineTarget,
+        LoadGenConfig,
+        LoadGenerator,
+        LoadReport,
+        MultiTenantLoadGenerator,
+    )
+    from repro.service.manager import (
+        DEFAULT_TENANT,
+        EngineManager,
+        NotAStandbyError,
+        TenantConfig,
+        TenantDeleteError,
+        TenantError,
+        TenantExistsError,
+        TenantLimitError,
+        UnknownTenantError,
+    )
+    from repro.service.metrics import LatencyHistogram, ServiceMetrics
+    from repro.service.obs import (
+        SpanContext,
+        Tracer,
+        configure_tracer,
+        decision_events,
+        get_tracer,
+        new_trace_id,
+        parse_prometheus_text,
+        register_decision_log,
+        render_metrics,
+        sample_stacks,
+    )
+    from repro.service.replication import ReplicationError, StandbyEngine, WalShipper
+    from repro.service.server import BackgroundServer, ClusteringServiceServer
+    from repro.service.sharding import (
+        ShardExport,
+        ShardedEngine,
+        ShardedView,
+        make_engine,
+        shard_of,
+    )
+    from repro.service.timetravel import AsOfUnavailableError, HistoricalViewStore
+    from repro.service.views import ClusteringView

@@ -25,12 +25,10 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from urllib.parse import quote
 
-from repro.core.dynelm import Update
+from repro.core.dynelm import Update, UpdateKind
 from repro.core.result import GroupByResult
 from repro.graph.dynamic_graph import Vertex
 from repro.persistence.updatelog import format_vertex_token
-from repro.service.server import encode_update
-from repro.service.replication import parse_primary_url
 
 #: An ``as_of`` argument: one applied position (unsharded tenants), a
 #: per-shard position sequence (sharded tenants), or the string
@@ -43,6 +41,35 @@ AsOf = Union[int, str, Sequence[int]]
 _REROUTE_CODES = frozenset(
     {"tenant_fenced", "tenant_read_only", "unknown_tenant", "engine_unavailable"}
 )
+
+
+def encode_update(update: Update) -> List[object]:
+    """The wire form of one update."""
+    return ["+" if update.kind is UpdateKind.INSERT else "-", update.u, update.v]
+
+
+def parse_primary_url(url: str) -> Tuple[str, int]:
+    """``host:port`` or ``http://host:port`` → ``(host, port)``.
+
+    The service stack is plain HTTP (stdlib only), so an ``https://``
+    primary is rejected loudly rather than silently downgraded.
+    """
+    target = url.strip()
+    if target.startswith("https://"):
+        raise ValueError(f"https primaries are not supported: {url!r}")
+    if target.startswith("http://"):
+        target = target[len("http://"):]
+    target = target.rstrip("/")
+    host, sep, port_text = target.rpartition(":")
+    if not sep or not host:
+        raise ValueError(
+            f"replica_of must be 'host:port' or 'http://host:port', got {url!r}"
+        )
+    try:
+        port = int(port_text)
+    except ValueError as exc:
+        raise ValueError(f"invalid primary port in {url!r}") from exc
+    return host, port
 
 
 def format_as_of(as_of: AsOf) -> str:

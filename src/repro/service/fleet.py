@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.service.client import ServiceClient, ServiceError, parse_primary_url
 from repro.service.obs import register_decision_log
 
 __all__ = [
@@ -440,17 +441,12 @@ class FleetWatchdog(threading.Thread):
     # default hooks: sidecar (v1 API) mode
     # ------------------------------------------------------------------
     def _client(self, endpoint: str, tenant: Optional[str] = None):
-        from repro.service.client import ServiceClient
-        from repro.service.replication import parse_primary_url
-
         host, port = parse_primary_url(endpoint)
         return ServiceClient(
             host, port, tenant=tenant, timeout=self.config.probe_timeout
         )
 
     def _scan_targets(self) -> List[_Standby]:
-        from repro.service.client import ServiceError
-
         rows: List[_Standby] = []
         for endpoint in self.targets:
             try:
@@ -488,8 +484,6 @@ class FleetWatchdog(threading.Thread):
 
     def _probe_primary(self, primary: str, tenant: str) -> bool:
         """One reachability + tenant-liveness probe of a primary."""
-        from repro.service.client import ServiceError
-
         try:
             with self._client(primary, tenant=tenant) as client:
                 client.healthz()

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
+from repro import __version__
 from repro.service.metrics import INGEST_STAGES, LatencyHistogram
 
 __all__ = [
@@ -541,10 +542,7 @@ def render_metrics(manager: object, version: Optional[str] = None) -> str:
     """
     exposition = Exposition()
     if version is None:
-        try:
-            from repro import __version__ as version  # late: avoids a cycle
-        except Exception:
-            version = "unknown"
+        version = __version__
     exposition.add("repro_build_info", {"version": version}, 1)
     tenants = list(manager.items())
     exposition.add("repro_tenants", {}, len(tenants))

@@ -52,13 +52,14 @@ import shutil
 import threading
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.dynelm import Update
 from repro.persistence.snapshot import write_durable
 # the standby-facing names of the WAL range reader, which lives beside the
 # segment listing it reads
 from repro.persistence.updatelog import WalGapError, read_wal_range  # noqa: F401
+from repro.service.client import ServiceClient, ServiceError, parse_primary_url
 from repro.service.engine import (
     SNAPSHOT_FILE,
     ClusteringEngine,
@@ -93,30 +94,6 @@ STANDBY_FORMAT = "repro-standby-manifest"
 
 class ReplicationError(EngineError):
     """Base class for replication failures."""
-
-
-def parse_primary_url(url: str) -> Tuple[str, int]:
-    """``host:port`` or ``http://host:port`` → ``(host, port)``.
-
-    The service stack is plain HTTP (stdlib only), so an ``https://``
-    primary is rejected loudly rather than silently downgraded.
-    """
-    target = url.strip()
-    if target.startswith("https://"):
-        raise ValueError(f"https primaries are not supported: {url!r}")
-    if target.startswith("http://"):
-        target = target[len("http://"):]
-    target = target.rstrip("/")
-    host, sep, port_text = target.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"replica_of must be 'host:port' or 'http://host:port', got {url!r}"
-        )
-    try:
-        port = int(port_text)
-    except ValueError as exc:
-        raise ValueError(f"invalid primary port in {url!r}") from exc
-    return host, port
 
 
 def backoff_delay(
@@ -204,8 +181,6 @@ class WalShipper(threading.Thread):
         failure here leaves it serving its last replayed position and the
         next loop iteration tries again.
         """
-        from repro.service.client import ServiceError
-
         try:
             self.standby.reseed(reason=reason)
         except (OSError, ServiceError) as exc:
@@ -214,8 +189,6 @@ class WalShipper(threading.Thread):
             self._backoff()
 
     def run(self) -> None:
-        from repro.service.client import ServiceError
-
         while not self._stop_event.is_set():
             try:
                 position = self.standby.position(self.slot)
@@ -394,8 +367,6 @@ class StandbyEngine:
         tenant = self.tenant
 
         def factory() -> object:
-            from repro.service.client import ServiceClient
-
             return ServiceClient(host, port, tenant=tenant)
 
         return factory
@@ -746,8 +717,6 @@ class StandbyEngine:
         # stop the shippers *outside* the lock: an in-flight apply_chunk
         # holds the lock and must be allowed to finish before join()
         self._stop_shippers()
-        from repro.service.client import ServiceError
-
         with self._lock:
             if self._promoted:
                 return dict(self._promotion or {})
@@ -839,8 +808,6 @@ class StandbyEngine:
         previous source — the caller (typically the fleet watchdog)
         retries.  Raises for a closed or promoted standby.
         """
-        from repro.service.client import ServiceError
-
         if client_factory is None:
             client_factory = self._url_client_factory(replica_of)
         with self._lock:

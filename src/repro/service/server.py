@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote
 
 import repro
-from repro.core.dynelm import Update, UpdateKind
+from repro.core.dynelm import Update
 from repro.graph.dynamic_graph import Vertex
 from repro.persistence.updatelog import (
     UpdateLogError,
@@ -73,6 +73,7 @@ from repro.persistence.updatelog import (
     parse_vertex_token,
     read_wal_range,
 )
+from repro.service.client import ServiceError, encode_update, parse_primary_url
 from repro.service.engine import (
     ClusteringEngine,
     EngineBackpressure,
@@ -101,7 +102,6 @@ from repro.service.replication import (
     MAX_FETCH_RECORDS,
     ReplicationError,
     StandbyEngine,
-    parse_primary_url,
 )
 from repro.service.sharding import ShardedEngine
 from repro.service.timetravel import AsOfUnavailableError
@@ -223,11 +223,6 @@ def decode_updates(payload: object) -> List[Update]:
         else:
             raise BadRequest(f"unknown update op {op!r} (expected '+' or '-')")
     return updates
-
-
-def encode_update(update: Update) -> List[object]:
-    """The wire form of one update."""
-    return ["+" if update.kind is UpdateKind.INSERT else "-", update.u, update.v]
 
 
 class ClusteringServiceServer:
@@ -740,8 +735,6 @@ class ClusteringServiceServer:
                 {},
             )
         except Exception as exc:
-            from repro.service.client import ServiceError
-
             if isinstance(exc, ReplicationError) and isinstance(
                 exc.__cause__, OSError
             ):

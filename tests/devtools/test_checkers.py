@@ -19,6 +19,7 @@ from repro.devtools import (
     EngineSurfaceChecker,
     ErrorEnvelopeChecker,
     GuardedFieldChecker,
+    ImportLayeringChecker,
     MonotonicDisciplineChecker,
     SpanHygieneChecker,
     ThreadHygieneChecker,
@@ -133,6 +134,21 @@ class TestEngineSurface:
         assert run(EngineSurfaceChecker(), "surface_good.py") == []
 
 
+class TestImportLayering:
+    def test_bad_fixture_is_detected(self):
+        findings = run(ImportLayeringChecker(), "layering_bad.py")
+        # import asyncio, from asyncio, the lazy re-export, the server
+        # module, and the server imported inside a module-level try
+        assert [finding.line for finding in findings] == [3, 5, 6, 7, 10]
+        assert codes(findings) == ["REPRO802"] * 5
+        assert "asyncio" in findings[0].message
+        assert "repro.service.server" in findings[2].message
+
+    def test_good_fixture_is_clean(self):
+        # function-level and TYPE_CHECKING imports of the server stay legal
+        assert run(ImportLayeringChecker(), "layering_good.py") == []
+
+
 class TestScoping:
     @pytest.mark.parametrize(
         "checker_class, in_scope, out_of_scope",
@@ -162,6 +178,11 @@ class TestScoping:
                 "src/repro/service/server.py",
                 "src/repro/devtools/surface.py",
             ),
+            (
+                ImportLayeringChecker,
+                "src/repro/service/client.py",
+                "src/repro/service/server.py",
+            ),
         ],
     )
     def test_package_files_respect_checker_scope(
@@ -185,5 +206,6 @@ class TestScoping:
             ThreadHygieneChecker,
             SpanHygieneChecker,
             EngineSurfaceChecker,
+            ImportLayeringChecker,
         ):
             assert checker_class().applies_to(source)
