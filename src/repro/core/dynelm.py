@@ -19,10 +19,12 @@ under edge insertions and deletions.  The machinery, following the paper:
   them, and re-tracked as one batch
   (:meth:`~repro.dt.tracker.UpdateTracker.retrack`); then the same at
   ``w``.  The inserted edge is a batch of one;
-* the DT instances of all edges incident on a vertex share one counter and
-  are organised in a ``DtHeap`` (:class:`~repro.dt.tracker.UpdateTracker`),
-  so an update only touches the edges whose DT actually signals (edges
-  with ``τ = 1`` skip the heap and mature straight off the counter).
+* the DT instances of all edges incident on a vertex share one counter
+  (:class:`~repro.dt.tracker.UpdateTracker`), so an update only touches
+  the edges whose DT actually signals.  An edge with remaining τ ≤ 8 (the
+  protocol's straightforward mode, where every affecting update signals)
+  sits in a counter lane and matures straight off the two endpoints'
+  counters; only slack-mode rounds (τ > 8) are organised in a ``DtHeap``.
 
 Handling an update ``(u, w)`` follows the five steps of Section 6 and
 returns the set ``F`` of edges whose label flipped, which DynStrClu consumes
@@ -320,4 +322,6 @@ class DynELM:
             edge_label=m,
             dt_coordinator=tracker_elements["dt_coordinator"],
             dt_heap_entry=tracker_elements["dt_heap_entry"],
+            dt_stamp=tracker_elements["dt_stamp"],
+            dt_lane_tau=tracker_elements["dt_lane_tau"],
         )

@@ -13,6 +13,13 @@ heap must support:
 each in ``O(log d[u])`` time.  The implementation is a classic binary heap
 that stores each entry's position so that arbitrary-entry operations are
 possible without lazy deletion.
+
+Only slack-mode rounds (remaining τ > 8) reach a heap; the tracker's counter
+lane serves the rest.  Under Jaccard, τ = ⌊½ρε·d_max⌋ + 1
+(:func:`~repro.core.affordability.tracking_threshold`), so at ε = 0.2 and
+hot-start degrees no registry graph reaches a heap at ρ ≤ 0.1 or under
+cosine; at ρ = 0.5 only ``dense`` does (d_max 250); at ρ = 0.9 ``wiki``,
+``twitter``, ``pokec``, ``skitter`` and ``dense`` do.
 """
 
 from __future__ import annotations

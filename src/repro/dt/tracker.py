@@ -4,8 +4,8 @@ This module implements Section 5.2 of the paper.  Every vertex ``u`` keeps
 
 * a single **shared counter** ``s_u`` counting the affecting updates incident
   on ``u`` (instead of one counter per incident edge), and
-* a **DtHeap(u)** holding one entry per tracked incident edge, keyed by the
-  *shifted checkpoint*: the value of ``s_u`` at which that edge's DT
+* a **DtHeap(u)** holding one entry per slack-mode edge at ``u``, keyed by
+  the *shifted checkpoint*: the value of ``s_u`` at which that edge's DT
   participant must next signal its coordinator.
 
 Registering an update at ``u`` increments ``s_u`` once and then only touches
@@ -13,25 +13,26 @@ the *checkpoint-ready* heap entries (key equal to ``s_u``), so the work per
 update is proportional to the number of DT signals actually due — the whole
 point of the paper's poly-logarithmic amortized bound.
 
-**The τ = 1 path.**  An edge tracked with threshold 1 matures on the very
-next affecting update at either endpoint, so a heap entry and a DT round
-buy it nothing.  Such edges stay out of the heaps: each endpoint ``x``
-keeps, per τ = 1 edge, the value of ``s_x`` when the edge was tracked, and
-the edge matures at ``x`` once ``s_x`` has passed that stamp — exactly the
-update at which the heap path (key ``s_x + 1``) would have signalled.  Each
-such maturity counts one ``dt_signal`` and no ``heap_op``.  Every stamp
-below ``s_x`` is due, so scanning ``x``'s stamps costs the maturities plus
-the edges tracked since ``x``'s last increment.  In exact mode (ρ = 0) every
-edge has τ = 1; under Jaccard so does every edge with
-``d_max < 2 / (ρε)``.
+**The lane.**  Once an instance's remaining τ is at most
+``STRAIGHTFORWARD_LIMIT`` (4h = 8), DT runs in straightforward mode: every
+affecting update is a signal, so the edge leaves the heaps.  Each endpoint
+``x`` keeps, per lane edge, the value ``x0`` of ``s_x`` when the edge
+entered the lane; a lane edge with τ > 1 also keeps its τ.  A lane edge is
+*due* at ``x`` once ``s_x`` has passed its stamp, exactly when the heap's
+slack-1 entry would signal.  Each due edge counts one ``dt_signal`` and no
+``heap_op``; a due edge ``(a, b)`` matures once
+``(s_a − a0) + (s_b − b0) ≥ τ``, :class:`NaiveTracker`'s rule read off the
+shared counters.  A slack-mode instance moves to the lane when a round
+leaves it 8 or less, so the heaps hold only slack-mode rounds, where the
+paper's O(log τ) rounds pay.  Under Jaccard an edge stays in the lane
+while ``d_max < 16 / (ρε)``, and at ρ = 0 every edge does.
 
 **Re-tracking in batches.**  :meth:`UpdateTracker.process_ready` returns
 the edges that matured at one endpoint; DynELM relabels them and hands the
 whole list back to :meth:`UpdateTracker.retrack` with their new τ, in one
 call per endpoint.  ``retrack`` skips the checks of
 :meth:`UpdateTracker.track` (the edges are canonical and untracked by
-construction) and sends each edge to its lane by τ, so an edge moves
-between the heaps and the stamps whenever its τ crosses 1.
+construction) and sends each edge to the lane or the heaps by τ.
 
 Two trackers are provided:
 
@@ -44,14 +45,16 @@ Two trackers are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Optional, Sequence, Set
 
 from repro.dt.heap import DtHeap, DtHeapEntry
 from repro.graph.dynamic_graph import Edge, Vertex, canonical_edge
 from repro.instrumentation import NULL_COUNTER, OpCounter
 
 #: below (or at) this remaining threshold the DT round runs in straightforward
-#: mode (slack 1); equals ``4 * h`` with ``h = 2`` participants.
+#: mode (slack 1), which the lane serves; equals ``4 * h`` with ``h = 2``
+#: participants.
 STRAIGHTFORWARD_LIMIT = 8
 
 
@@ -68,10 +71,6 @@ class _EdgeDTState:
         self.signals_in_round = 0
         #: maps each endpoint to its DtHeapEntry living in that endpoint's heap
         self.entries: Dict[Vertex, DtHeapEntry[Edge]] = {}
-
-    @property
-    def straightforward(self) -> bool:
-        return self.remaining <= STRAIGHTFORWARD_LIMIT
 
 
 class UpdateTracker:
@@ -92,10 +91,12 @@ class UpdateTracker:
 
     def __init__(self, counter: OpCounter | None = None) -> None:
         self._shared: Dict[Vertex, int] = {}
-        self._heaps: Dict[Vertex, DtHeap[Edge]] = {}
+        self._heaps: DefaultDict[Vertex, DtHeap[Edge]] = defaultdict(DtHeap)
         self._states: Dict[Edge, _EdgeDTState] = {}
-        #: the τ = 1 edges: per endpoint, each edge's shared counter at track time
-        self._stamps: Dict[Vertex, Dict[Edge, int]] = {}
+        #: the lane edges: per endpoint, each edge's shared counter at track time
+        self._stamps: DefaultDict[Vertex, Dict[Edge, int]] = defaultdict(dict)
+        #: the τ of every lane edge with τ > 1
+        self._lane_taus: Dict[Edge, int] = {}
         self._counter = counter if counter is not None else NULL_COUNTER
 
     # ------------------------------------------------------------------
@@ -113,10 +114,14 @@ class UpdateTracker:
         return edge in self._states or edge in self._stamps.get(u, ())
 
     def tracked_threshold(self, u: Vertex, v: Vertex) -> Optional[int]:
-        """Return the initial threshold of the DT instance for ``(u, v)``, if any."""
+        """Return the τ the DT instance for ``(u, v)`` counts to, if any.
+
+        For an edge that moved from slack mode to the lane, that is the
+        remainder it had left at the move, not the τ it was tracked with.
+        """
         edge = self._key(u, v)
         if edge in self._stamps.get(u, ()):
-            return 1
+            return self._lane_taus.get(edge, 1)
         state = self._states.get(edge)
         return None if state is None else state.initial_tau
 
@@ -135,6 +140,7 @@ class UpdateTracker:
             "dt_coordinator": len(self._states),
             "dt_heap_entry": sum(len(h) for h in self._heaps.values()),
             "dt_stamp": sum(map(len, self._stamps.values())),
+            "dt_lane_tau": len(self._lane_taus),
             "vertex_record": len(self._shared),
         }
 
@@ -149,11 +155,10 @@ class UpdateTracker:
         if tau < 1:
             raise ValueError(f"tau must be a positive integer, got {tau}")
         edge = self._key(u, v)
-        if edge in self._states or edge in self._stamps.get(u, ()):
+        if self.is_tracked(u, v):
             raise ValueError(f"edge {edge!r} is already tracked")
-        shared = self._shared
-        shared.setdefault(u, 0)
-        shared.setdefault(v, 0)
+        self._shared.setdefault(u, 0)
+        self._shared.setdefault(v, 0)
         self.retrack((edge,), (tau,))
 
     def retrack(self, edges: Sequence[Edge], taus: Sequence[int]) -> None:
@@ -162,46 +167,39 @@ class UpdateTracker:
         The unchecked batch form of :meth:`track` that DynELM's drain uses
         for the edges :meth:`process_ready` just returned: every edge is
         canonical, untracked, has a shared counter at both endpoints and a
-        positive τ.  A τ = 1 edge is stamped at both endpoints; any other
-        edge gets a DT instance with one entry in each endpoint's heap.
+        positive τ.  An edge with τ ≤ ``STRAIGHTFORWARD_LIMIT`` joins the
+        lane, stamped at both endpoints; any other edge gets a DT instance
+        with one entry in each endpoint's heap.
         """
         shared = self._shared
         stamps = self._stamps
         for edge, tau in zip(edges, taus):
-            if tau == 1:
+            if tau <= STRAIGHTFORWARD_LIMIT:
+                if tau > 1:
+                    self._lane_taus[edge] = tau
                 a, b = edge
-                at_a = stamps.get(a)
-                if at_a is None:
-                    at_a = stamps[a] = {}
-                at_a[edge] = shared[a]
-                at_b = stamps.get(b)
-                if at_b is None:
-                    at_b = stamps[b] = {}
-                at_b[edge] = shared[b]
+                stamps[a][edge] = shared[a]
+                stamps[b][edge] = shared[b]
                 continue
             state = _EdgeDTState(edge, tau)
             self._states[edge] = state
             for endpoint in edge:
-                heap = self._heaps.get(endpoint)
-                if heap is None:
-                    heap = self._heaps[endpoint] = DtHeap()
                 entry = DtHeapEntry(edge, key=0, round_start=0)
                 state.entries[endpoint] = entry
-                heap.push(entry)
+                self._heaps[endpoint].push(entry)
                 self._counter.add("heap_op")
             self._begin_round(state)
 
     def untrack(self, u: Vertex, v: Vertex) -> None:
         """Remove the DT instance for ``(u, v)`` (no-op if not tracked)."""
         edge = self._key(u, v)
-        stamps = self._stamps.get(u)
-        if stamps is not None and stamps.pop(edge, None) is not None:
-            del self._stamps[v][edge]
+        if edge in self._stamps.get(u, ()):
+            del self._stamps[u][edge], self._stamps[v][edge]
+            self._lane_taus.pop(edge, None)
             return
         state = self._states.pop(edge, None)
-        if state is None:
-            return
-        self._drop_entries(state)
+        if state is not None:
+            self._drop_entries(state)
 
     def _drop_entries(self, state: _EdgeDTState) -> None:
         for endpoint, entry in state.entries.items():
@@ -211,12 +209,9 @@ class UpdateTracker:
         state.entries.clear()
 
     def _begin_round(self, state: _EdgeDTState) -> None:
-        """Start a fresh round: pick the slack and reset both checkpoints."""
+        """Start a fresh slack-mode round: pick the slack, reset both checkpoints."""
         state.signals_in_round = 0
-        if state.straightforward:
-            state.slack = 1
-        else:
-            state.slack = state.remaining // 4  # floor(tau / (2 h)) with h = 2
+        state.slack = state.remaining // 4  # floor(tau / (2 h)) with h = 2
         for endpoint, entry in state.entries.items():
             s = self._shared[endpoint]
             entry.round_start = s
@@ -237,7 +232,7 @@ class UpdateTracker:
         self._shared[u] = self._shared.get(u, 0) + 1
 
     def process_ready(self, u: Vertex) -> List[Edge]:
-        """Process every checkpoint-ready entry of ``DtHeap(u)``.
+        """Check the lane edges due at ``u`` and the ready entries of ``DtHeap(u)``.
 
         Returns the (possibly empty) list of edges whose DT instance
         matured; those instances are removed and must be re-created (with a
@@ -250,20 +245,27 @@ class UpdateTracker:
         if stamps:
             matured = [edge for edge, stamp in stamps.items() if stamp < s_u]
             if matured:
+                self._counter.add("dt_signal", len(matured))
+                lane_taus = self._lane_taus
+                if lane_taus:
+                    # keep the due edges (a, b) with (s_a − a0) + (s_b − b0) ≥ τ
+                    due, matured, shared = matured, [], self._shared
+                    for edge in due:
+                        tau = lane_taus.get(edge)
+                        if tau is not None:
+                            a, b = edge
+                            if (shared[a] - all_stamps[a][edge]
+                                    + shared[b] - all_stamps[b][edge]) < tau:
+                                continue
+                            del lane_taus[edge]
+                        matured.append(edge)
                 for edge in matured:
                     a, b = edge
-                    del all_stamps[a][edge]
-                    del all_stamps[b][edge]
-                self._counter.add("dt_signal", len(matured))
+                    del all_stamps[a][edge], all_stamps[b][edge]
         heap = self._heaps.get(u)
-        if heap is None:
-            return matured
-        while True:
-            top = heap.peek_min()
-            if top is None or top.key > s_u:
-                break
+        while heap and heap.peek_min().key <= s_u:
             self._counter.add("heap_op")
-            self._process_signal(u, top, matured)
+            self._process_signal(u, heap.peek_min(), matured)
         return matured
 
     def register_update(self, u: Vertex) -> List[Edge]:
@@ -277,21 +279,10 @@ class UpdateTracker:
         return self.process_ready(u)
 
     def _process_signal(self, u: Vertex, entry: DtHeapEntry[Edge], matured: List[Edge]) -> None:
-        """Handle one checkpoint-ready signal from participant ``u``."""
+        """Handle one checkpoint-ready slack-mode signal from participant ``u``."""
         edge = entry.payload
         state = self._states[edge]
         self._counter.add("dt_signal")
-        if state.straightforward:
-            state.remaining -= 1
-            if state.remaining == 0:
-                matured.append(edge)
-                del self._states[edge]
-                self._drop_entries(state)
-                return
-            self._heaps[u].update_key(entry, self._shared[u] + 1)
-            self._counter.add("heap_op")
-            return
-        # slack mode
         state.signals_in_round += 1
         if state.signals_in_round < 2:
             # the round continues: only this participant's checkpoint advances
@@ -303,13 +294,17 @@ class UpdateTracker:
         for endpoint, ep_entry in state.entries.items():
             consumed += self._shared[endpoint] - ep_entry.round_start
         state.remaining -= consumed
-        if state.remaining <= 0:
+        if state.remaining > STRAIGHTFORWARD_LIMIT:
+            self._begin_round(state)
+            return
+        # the straightforward tail runs in the lane
+        del self._states[edge]
+        self._drop_entries(state)
+        if state.remaining > 0:
+            self.retrack((edge,), (state.remaining,))
+        else:
             # defensive: cannot happen with the h = 2 slack rule, but treat as maturity
             matured.append(edge)
-            del self._states[edge]
-            self._drop_entries(state)
-            return
-        self._begin_round(state)
 
 
 class NaiveTracker:

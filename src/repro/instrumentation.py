@@ -101,8 +101,10 @@ class MemoryModel:
     dt_coordinator: int = 4
     #: words per DtHeap entry (key, shared-counter snapshot, edge ref, position)
     dt_heap_entry: int = 4
-    #: words per τ = 1 tracking stamp (edge ref, shared-counter snapshot)
+    #: words per lane stamp (edge ref, shared-counter snapshot)
     dt_stamp: int = 2
+    #: words per τ > 1 lane threshold (τ = 1 lane edges keep none)
+    dt_lane_tau: int = 1
     #: words per similar-neighbour index entry (hSCAN-style sorted index)
     index_entry: int = 3
     #: words per connectivity-structure node (treap node / level bookkeeping)

@@ -13,7 +13,7 @@ from repro.core.result import clusterings_equal, compute_clusters
 from repro.graph.dynamic_graph import canonical_edge
 from repro.graph.generators import planted_partition_graph
 from repro.graph.similarity import SimilarityKind
-from repro.instrumentation import OpCounter
+from repro.instrumentation import MemoryModel, OpCounter
 from repro.workloads.updates import InsertionStrategy, generate_update_sequence
 
 
@@ -143,6 +143,13 @@ class TestInstrumentation:
         small = DynELM.from_edges(community_edges[:50], approx_params)
         large = DynELM.from_edges(community_edges, approx_params)
         assert large.memory_words() > small.memory_words()
+
+    def test_memory_words_count_the_lane_stamps(self, exact_params):
+        """At ρ = 0 every edge is in the counter lane, stamped at both endpoints."""
+        elm = DynELM.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)], exact_params)
+        assert elm.memory_words() == MemoryModel().words(
+            vertex_record=2 * 4, adjacency_entry=2 * 4, edge_label=4, dt_stamp=2 * 4
+        )
 
 
 class TestErrorHandling:

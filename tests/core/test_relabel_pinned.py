@@ -9,7 +9,9 @@ each other.  ``max_samples=2`` puts the hybrid cutoff at 40 closed
 neighbours, so a hub pair (63 each before the stream) takes the sampling
 branch at ρ > 0, and the cosine runs exercise the Lemma 8.2
 short-circuit on hub–leaf edges.  A hub–leaf edge stays on the exact
-branch.
+branch.  No remaining τ on this stream exceeds the tracker's
+``STRAIGHTFORWARD_LIMIT``, so every DT instance runs in the counter lane
+and no run makes a heap operation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 
 from repro.core.config import StrCluParams
 from repro.core.dynstrclu import DynStrClu
+from repro.dt.tracker import STRAIGHTFORWARD_LIMIT
 from repro.graph.generators import planted_partition_graph
 from repro.graph.similarity import SimilarityKind
 from repro.instrumentation import OpCounter
@@ -75,7 +78,7 @@ PINNED = {
     ),
     ("jaccard", 0.5): (
         {
-            "cc_op": 580, "dt_signal": 23496, "heap_op": 84151,
+            "cc_op": 580, "dt_signal": 23496,
             "label_invocation": 9577, "neighbour_probe": 113796, "sample": 40,
             "similarity_eval": 9577, "update": 865,
         },
@@ -83,7 +86,7 @@ PINNED = {
     ),
     ("cosine", 0.0): (
         {
-            "cc_op": 2132, "dt_signal": 23496, "heap_op": 423,
+            "cc_op": 2132, "dt_signal": 23496,
             "label_invocation": 24157, "neighbour_probe": 316699,
             "similarity_eval": 24157, "update": 865,
         },
@@ -91,7 +94,7 @@ PINNED = {
     ),
     ("cosine", 0.01): (
         {
-            "cc_op": 2142, "dt_signal": 23496, "heap_op": 423,
+            "cc_op": 2142, "dt_signal": 23496,
             "label_invocation": 24157, "neighbour_probe": 308098, "sample": 232,
             "similarity_eval": 24157, "update": 865,
         },
@@ -99,7 +102,7 @@ PINNED = {
     ),
     ("cosine", 0.5): (
         {
-            "cc_op": 2010, "dt_signal": 23496, "heap_op": 41357,
+            "cc_op": 2010, "dt_signal": 23496,
             "label_invocation": 18477, "neighbour_probe": 231251, "sample": 84,
             "similarity_eval": 18477, "update": 865,
         },
@@ -115,5 +118,8 @@ def test_counts_and_labels_match_the_pinned_chain(rho, kind):
     expected_counts, expected_digest = PINNED[kind.value, rho]
     assert counts == expected_counts
     assert digest == expected_digest
+    if counts.get("heap_op", 0) == 0:
+        # each labelling starts one lane instance, due at most τ ≤ 8 times
+        assert counts["dt_signal"] <= STRAIGHTFORWARD_LIMIT * counts["label_invocation"]
     if rho > 0:
         assert counts.get("sample", 0) > 0, "the hub pair must take the sampling branch"

@@ -98,8 +98,8 @@ class TestSharedCounterSemantics:
 
     def test_heap_sizes_track_membership(self):
         tracker = UpdateTracker()
-        tracker.track(0, 1, 5)
-        tracker.track(0, 2, 5)
+        tracker.track(0, 1, 20)
+        tracker.track(0, 2, 20)
         assert tracker.heap_size(0) == 2
         assert tracker.heap_size(1) == 1
         tracker.untrack(0, 1)
@@ -108,24 +108,26 @@ class TestSharedCounterSemantics:
 
     def test_memory_elements_counts(self):
         tracker = UpdateTracker()
-        tracker.track(0, 1, 5)
-        tracker.track(1, 2, 5)
+        tracker.track(0, 1, 20)
+        tracker.track(1, 2, 20)
         elements = tracker.memory_elements()
         assert elements["dt_coordinator"] == 2
         assert elements["dt_heap_entry"] == 4
 
 
 class TestUnitThresholdPath:
-    def test_unit_stream_does_no_heap_work(self):
+    @pytest.mark.parametrize("tau", [1, 2, 5, 8])
+    def test_unit_stream_does_no_heap_work(self, tau):
+        """Every τ up to the straightforward limit runs in the counter lane."""
         counter = OpCounter()
         tracker = UpdateTracker(counter)
         rng = random.Random(0)
         for v in range(1, 30):
-            tracker.track(0, v, 1)
+            tracker.track(0, v, tau)
         for _ in range(500):
             u = rng.randrange(30)
             for a, b in tracker.register_update(u):
-                tracker.track(a, b, 1)
+                tracker.track(a, b, tau)
         assert counter.get("heap_op") == 0
         assert counter.get("dt_signal") > 0
         assert tracker.num_tracked() == 29
@@ -155,8 +157,9 @@ class TestUnitThresholdPath:
 
 class TestRetrackLaneTransitions:
     """Matured edges re-tracked through the batch form move between the
-    heap lane and the τ = 1 stamp lane; the straw man, which only knows
-    per-edge counters, must see the same maturities throughout."""
+    heaps and the counter lane, and a slack-mode edge finishes in the lane;
+    the straw man, which only knows per-edge counters, must see the same
+    maturities throughout."""
 
     @staticmethod
     def _update(tracker, naive, vertex, retau):
@@ -191,15 +194,37 @@ class TestRetrackLaneTransitions:
         tracker.track(1, 2, 1)
         naive.track(1, 2, 1)
         # neither 1 nor 2 has a heap yet
-        assert self._update(tracker, naive, 2, retau=4) == [(1, 2)]
-        assert tracker.tracked_threshold(1, 2) == 4
+        assert self._update(tracker, naive, 2, retau=12) == [(1, 2)]
+        assert tracker.tracked_threshold(1, 2) == 12
         assert tracker.heap_size(1) == tracker.heap_size(2) == 1
         assert tracker.memory_elements()["dt_stamp"] == 0
-        for vertex in (1, 2, 2):
+        for vertex in (1, 2, 2) * 3 + (1, 2):
             assert self._update(tracker, naive, vertex, retau=1) == []
         assert self._update(tracker, naive, 1, retau=1) == [(1, 2)]
         assert tracker.heap_size(1) == tracker.heap_size(2) == 0
         assert self._update(tracker, naive, 1, retau=1) == [(1, 2)]
+
+    def test_slack_edge_leaves_the_heaps_for_the_lane(self):
+        tracker, naive = UpdateTracker(), NaiveTracker()
+        tracker.track(1, 2, 40)
+        naive.track(1, 2, 40)
+        rng = random.Random(3)
+        left_heaps_at = None
+        for step in range(1, 41):
+            matured = self._update(tracker, naive, rng.choice((1, 2)), retau=40)
+            if matured:
+                break
+            in_heaps = tracker.heap_size(1) + tracker.heap_size(2)
+            if left_heaps_at is None and in_heaps == 0:
+                left_heaps_at = step
+                # the lane counts the remainder, which the heaps' rounds left at ≤ 8
+                assert tracker.tracked_threshold(1, 2) == 40 - step <= 8
+            assert in_heaps == (2 if left_heaps_at is None else 0)
+        assert (step, matured) == (40, [(1, 2)])
+        assert left_heaps_at is not None
+        # re-tracked with τ = 40, the edge starts again in the heaps
+        assert tracker.heap_size(1) == tracker.heap_size(2) == 1
+        assert tracker.memory_elements()["dt_stamp"] == 0
 
     def test_retrack_does_what_track_does(self):
         """The batch form leaves the same state and counts as per-edge track."""
