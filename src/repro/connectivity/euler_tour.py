@@ -215,11 +215,17 @@ class EulerTourForest:
     # ------------------------------------------------------------------
     def tree_root_node(self, v: Vertex) -> _Node:
         """Return the treap root of the tour containing ``v`` (component handle)."""
-        return _root_of(self._vertex_nodes[v])
+        node = self._vertex_nodes[v]
+        while node.parent is not None:
+            node = node.parent
+        return node
 
     def component_id(self, v: Vertex) -> int:
         """An identifier of the tree containing ``v``, stable between updates."""
-        return id(self.tree_root_node(v))
+        node = self._vertex_nodes[v]
+        while node.parent is not None:
+            node = node.parent
+        return id(node)
 
     def connected(self, u: Vertex, v: Vertex) -> bool:
         """Return True when ``u`` and ``v`` are in the same tree."""

@@ -235,7 +235,12 @@ class HDTConnectivity(ConnectivityStructure):
         return self._forests[0].connected(u, v)
 
     def component_id(self, u: Vertex) -> int:
-        return self._forests[0].component_id(u)
+        # FindCcID: the treap root of u's level-0 tour, reached in one loop
+        # over the parent pointers rather than through the forest's methods
+        node = self._forests[0]._vertex_nodes[u]
+        while node.parent is not None:
+            node = node.parent
+        return id(node)
 
     def component_size(self, u: Vertex) -> int:
         return self._forests[0].tree_size(u)

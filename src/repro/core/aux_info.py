@@ -13,14 +13,18 @@ neighbours are implicit: adjacent but in neither set), so that
 * ``SimCnt`` is the sum of the two set sizes (O(1) to read),
 * moving a neighbour between categories is O(1), and
 * a non-core vertex can enumerate its sim-core neighbours directly, which is
-  what the cluster-group-by query needs.
+  what the cluster-group-by query needs, and a core its sim-non-core
+  neighbours, which is all the clustering retrieval reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Set
+from typing import AbstractSet, Dict, Hashable, Set
 
 Vertex = Hashable
+
+#: what a read returns for a vertex without neighbours in a category
+_EMPTY: AbstractSet[Vertex] = frozenset()
 
 
 class VertexAuxInfo:
@@ -43,13 +47,13 @@ class VertexAuxInfo:
         out.update(self._sim_noncore.get(u, ()))
         return out
 
-    def sim_core_neighbours(self, u: Vertex) -> Set[Vertex]:
+    def sim_core_neighbours(self, u: Vertex) -> AbstractSet[Vertex]:
         """Similar neighbours of ``u`` that are currently core (live set; do not mutate)."""
-        return self._sim_core.get(u, set())
+        return self._sim_core.get(u, _EMPTY)
 
-    def sim_noncore_neighbours(self, u: Vertex) -> Set[Vertex]:
-        """Similar neighbours of ``u`` that are currently non-core (live set)."""
-        return self._sim_noncore.get(u, set())
+    def sim_noncore_neighbours(self, u: Vertex) -> AbstractSet[Vertex]:
+        """Similar neighbours of ``u`` that are currently non-core (live set; do not mutate)."""
+        return self._sim_noncore.get(u, _EMPTY)
 
     def is_similar_neighbour(self, u: Vertex, v: Vertex) -> bool:
         """True when ``v`` is recorded as a similar neighbour of ``u``."""

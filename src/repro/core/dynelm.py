@@ -317,7 +317,8 @@ class DynELM:
         m = self.graph.num_edges
         tracker_elements = self.tracker.memory_elements()
         return self._memory_model.words(
-            vertex_record=n + tracker_elements["vertex_record"],
+            # one record per vertex; it holds the tracker's shared counter too
+            vertex_record=n,
             adjacency_entry=2 * m,
             edge_label=m,
             dt_coordinator=tracker_elements["dt_coordinator"],

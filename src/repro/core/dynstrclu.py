@@ -262,50 +262,66 @@ class DynStrClu:
         for u in query:
             count += 1
             if u in cores:
-                groups.setdefault(component_id(u), set()).add(u)
+                key = component_id(u)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = {u}
+                else:
+                    group.add(u)
                 continue
             for v in sim_core_neighbours(u):
-                groups.setdefault(component_id(v), set()).add(u)
+                key = component_id(v)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = {u}
+                else:
+                    group.add(u)
         self.counter.add("groupby_vertex", count)
         return GroupByResult(groups=groups)
 
     def clustering(self) -> Clustering:
-        """Retrieve the full StrCluResult from the maintained structures (O(n + m)).
+        """Retrieve the full StrCluResult from the maintained structures.
 
-        Clusters correspond one-to-one to the connected components of the
-        maintained ``G_core``; each contains the component's cores plus every
-        vertex with a similar edge to one of those cores.
+        Cost: one FindCcID per core, plus the sim-non-core entries of the
+        cores, plus one pass over V for noise.  Clusters correspond
+        one-to-one to the connected components of the maintained
+        ``G_core``; each holds the component's cores plus every non-core
+        with a similar edge to one of them.  The sim-core half of vAuxInfo
+        is never read: a similar edge between two cores is a ``G_core``
+        edge, so a core's sim-core neighbours lie in its own component and
+        are members already.  A non-core attached to two or more components
+        is a hub; every other non-core graph vertex that no cluster owns is
+        noise.
         """
-        cluster_index: Dict[int, int] = {}
-        clusters: List[Set[Vertex]] = []
-        core_cluster: Dict[Vertex, int] = {}
-        for core in self.cores:
-            cc_id = self.cc.component_id(core)
-            idx = cluster_index.get(cc_id)
-            if idx is None:
-                idx = len(clusters)
-                cluster_index[cc_id] = idx
-                clusters.append(set())
-            clusters[idx].add(core)
-            core_cluster[core] = idx
+        cores = self.cores
+        component_id = self.cc.component_id
+        sim_noncore_neighbours = self.aux.sim_noncore_neighbours
+        clusters: Dict[int, Set[Vertex]] = {}
+        # per component, the union of its cores' sim-non-core neighbours: two
+        # cores of one cluster may share a non-core, which counts once
+        attached: Dict[int, Set[Vertex]] = {}
+        for core in cores:
+            key = component_id(core)
+            cluster = clusters.get(key)
+            if cluster is None:
+                clusters[key] = {core}
+            else:
+                cluster.add(core)
+            noncores = sim_noncore_neighbours(core)
+            if noncores:
+                attached.setdefault(key, set()).update(noncores)
 
-        assignments: Dict[Vertex, Set[int]] = {}
-        for core, idx in core_cluster.items():
-            for v in self.aux.similar_neighbours(core):
-                clusters[idx].add(v)
-                assignments.setdefault(v, set()).add(idx)
-
+        owned: Set[Vertex] = set()
         hubs: Set[Vertex] = set()
-        noise: Set[Vertex] = set()
-        for v in self.graph.vertices():
-            if v in self.cores:
-                continue
-            assigned = assignments.get(v, set())
-            if len(assigned) >= 2:
-                hubs.add(v)
-            elif not assigned:
-                noise.add(v)
-        return Clustering(clusters=clusters, cores=set(self.cores), hubs=hubs, noise=noise)
+        for key, noncores in attached.items():
+            hubs.update(owned.intersection(noncores))
+            owned.update(noncores)
+            clusters[key].update(noncores)
+        noise = set(self.graph.vertices())
+        noise.difference_update(cores, owned)
+        return Clustering(
+            clusters=list(clusters.values()), cores=set(cores), hubs=hubs, noise=noise
+        )
 
     # ------------------------------------------------------------------
     # accounting

@@ -141,7 +141,6 @@ class UpdateTracker:
             "dt_heap_entry": sum(len(h) for h in self._heaps.values()),
             "dt_stamp": sum(map(len, self._stamps.values())),
             "dt_lane_tau": len(self._lane_taus),
-            "vertex_record": len(self._shared),
         }
 
     # ------------------------------------------------------------------

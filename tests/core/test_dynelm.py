@@ -148,7 +148,7 @@ class TestInstrumentation:
         """At ρ = 0 every edge is in the counter lane, stamped at both endpoints."""
         elm = DynELM.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)], exact_params)
         assert elm.memory_words() == MemoryModel().words(
-            vertex_record=2 * 4, adjacency_entry=2 * 4, edge_label=4, dt_stamp=2 * 4
+            vertex_record=4, adjacency_entry=2 * 4, edge_label=4, dt_stamp=2 * 4
         )
 
 

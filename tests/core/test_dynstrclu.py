@@ -153,6 +153,52 @@ class TestGroupByQueries:
         assert result.num_groups == 2
 
 
+class _CountingConnectivity:
+    """Delegates to a connectivity structure, counting ``component_id`` calls."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def component_id(self, u):
+        self.calls += 1
+        return self.inner.component_id(u)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestReadWork:
+    """Reads make the FindCcID lookups of their cost bound and no more."""
+
+    @pytest.fixture
+    def counted(self, backend):
+        params = StrCluParams(epsilon=0.3, mu=3, rho=0.0)
+        clique_a = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        clique_b = [(u, v) for u in range(10, 14) for v in range(u + 1, 14)]
+        # 20 is a hub of both cliques, 30 a border vertex of one, 40-41 noise
+        edges = clique_a + clique_b + [(2, 20), (12, 20), (3, 30), (40, 41)]
+        algo = DynStrClu.from_edges(edges, params, connectivity_backend=backend)
+        clustering = algo.clustering()
+        assert clustering.hubs == {20} and clustering.noise == {40, 41}
+        algo.cc = _CountingConnectivity(algo.cc)
+        return algo
+
+    def test_clustering_makes_one_lookup_per_core(self, counted):
+        counted.clustering()
+        assert counted.cc.calls == len(counted.cores)
+
+    def test_group_by_makes_one_lookup_per_core_or_sim_core_neighbour(self, counted):
+        query = sorted(counted.graph.vertices()) + [999, 0, 20]
+        expected = sum(
+            1 if u in counted.cores else len(counted.aux.sim_core_neighbours(u))
+            for u in query
+        )
+        assert expected > len(set(query) & counted.cores)
+        counted.group_by(query)
+        assert counted.cc.calls == expected
+
+
 class TestApproximateMode:
     def test_sandwich_containment_after_updates(self, community_edges):
         """Theorem 2.3 applied to the maintained result (statistical check)."""

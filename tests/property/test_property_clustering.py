@@ -6,11 +6,19 @@ Covers:
 * structural well-formedness of every StrCluResult (cores in exactly one
   cluster, hubs in at least two, noise in none);
 * exact-mode DynStrClu ≡ static SCAN under arbitrary update interleavings;
-* cluster-group-by(Q) ≡ the restriction of the full clustering to Q.
+* cluster-group-by(Q) ≡ the restriction of the full clustering to Q;
+* after every update of a random stream, on every connectivity backend:
+  sim-core neighbours share a G_core component, the maintained retrieval
+  equals Fact 1's reference, and group-by equals the retrieval restricted
+  to Q.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.scan import static_scan
@@ -146,3 +154,67 @@ class TestExactDynamicEquivalence:
         )
         got = sorted(sorted(map(repr, g)) for g in algo.group_by(query).as_sets())
         assert got == expected
+
+
+# two 5-cliques and two bridge vertices that can attach to both: random
+# toggles over these pairs (plus a few stray ones) keep making hubs
+_CLIQUES = (range(0, 5), range(10, 15))
+_BRIDGES = (20, 21)
+_HUB_PAIRS = [(u, v) for clique in _CLIQUES for u in clique for v in clique if u < v] + [
+    (x, b) for b in _BRIDGES for x in (1, 3, 4, 11, 13, 14)
+]
+_ABSENT = (99, "absent")
+
+
+def hub_stream(seed: int, length: int = 160):
+    """A random insert/delete stream over :data:`_HUB_PAIRS` and stray pairs."""
+    rng = random.Random(seed)
+    present = set()
+    for _ in range(length):
+        if rng.random() < 0.9:
+            key = rng.choice(_HUB_PAIRS)
+        else:
+            u, v = rng.sample(range(22), 2)
+            key = canonical_edge(u, v)
+        yield Update.delete(*key) if key in present else Update.insert(*key)
+        present ^= {key}
+
+
+class TestRetrievalAfterEveryUpdate:
+    """``clustering()`` reads only the sim-non-core half of vAuxInfo, on the
+    premise that a core's sim-core neighbours share its G_core component;
+    premise, retrieval and group-by are checked after every update."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("backend", ["hdt", "ett", "union_find"])
+    def test_premise_retrieval_and_group_by(self, backend, rho, seed):
+        params = StrCluParams(epsilon=0.3, mu=3, rho=rho, seed=seed)
+        algo = DynStrClu(params, connectivity_backend=backend)
+        rng = random.Random(seed)
+        states_with_hubs = 0
+        for step, update in enumerate(hub_stream(seed)):
+            algo.apply(update)
+            component_id = algo.cc.component_id
+            for core in algo.cores:
+                key = component_id(core)
+                for w in algo.aux.sim_core_neighbours(core):
+                    assert component_id(w) == key, f"step {step}: {core}-{w}"
+
+            clustering = algo.clustering()
+            reference = compute_clusters(algo.graph, algo.labels, params.mu)
+            assert clusterings_equal(clustering, reference), f"step {step}"
+            states_with_hubs += bool(clustering.hubs)
+
+            vertices = sorted(algo.graph.vertices())
+            query = rng.sample(vertices, min(5, len(vertices))) + list(_ABSENT)
+            query += query[:2]  # duplicate entries
+            present = set(query)
+            expected = Counter(
+                frozenset(cluster & present)
+                for cluster in clustering.clusters
+                if cluster & present
+            )
+            got = Counter(frozenset(g) for g in algo.group_by(query).as_sets())
+            assert got == expected, f"step {step}"
+        assert states_with_hubs > 0
