@@ -12,7 +12,7 @@ non-core vertices belonging to none are *noise*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.connectivity.union_find import UnionFind
 from repro.core.labelling import EdgeLabel
@@ -253,42 +253,56 @@ def compute_clusters(
     mu:
         The core threshold.
     """
-    counts = similar_neighbour_counts(graph, labels)
-    cores = {v for v, c in counts.items() if c >= mu}
-
-    # connected components of the sim-core graph via union-find
-    uf = UnionFind(cores)
+    similar: Dict[Vertex, Set[Vertex]] = {}
     for (u, v), label in labels.items():
-        if label is EdgeLabel.SIMILAR and u in cores and v in cores and graph.has_edge(u, v):
-            uf.union(u, v)
+        if label is EdgeLabel.SIMILAR and graph.has_edge(u, v):
+            similar.setdefault(u, set()).add(v)
+            similar.setdefault(v, set()).add(u)
+    return clustering_from_similar(similar, graph.vertices(), mu)
 
-    component_of: Dict[Vertex, Vertex] = {c: uf.find(c) for c in cores}
+
+def clustering_from_similar(
+    similar: Mapping[Vertex, Collection[Vertex]],
+    vertices: Iterable[Vertex],
+    mu: int,
+) -> Clustering:
+    """Fact 1 over a similar-neighbour map: the StrCluResult in O(n + m).
+
+    ``similar`` maps a vertex to its similar neighbours (symmetric; a vertex
+    with none may be absent) and ``vertices`` is the whole vertex set, the
+    source of the noise.  The cores are the vertices with at least ``mu``
+    similar neighbours; each cluster is a connected component of the
+    sim-core graph plus every vertex similar to one of its cores.
+    """
+    cores = {v for v, neighbours in similar.items() if len(neighbours) >= mu}
+    uf = UnionFind(cores)
+    for core in cores:
+        for v in similar[core]:
+            if v in cores:
+                uf.union(core, v)
+
     cluster_index: Dict[Vertex, int] = {}
     clusters: List[Set[Vertex]] = []
-    for core in cores:
-        root = component_of[core]
-        if root not in cluster_index:
-            cluster_index[root] = len(clusters)
-            clusters.append(set())
-        clusters[cluster_index[root]].add(core)
-
-    # attach every vertex similar to some core of each component
     assignments: Dict[Vertex, Set[int]] = {}
-    for (u, v), label in labels.items():
-        if label is not EdgeLabel.SIMILAR or not graph.has_edge(u, v):
-            continue
-        for core, other in ((u, v), (v, u)):
-            if core in cores:
-                idx = cluster_index[component_of[core]]
-                clusters[idx].add(other)
-                assignments.setdefault(other, set()).add(idx)
+    for core in cores:
+        root = uf.find(core)
+        idx = cluster_index.get(root)
+        if idx is None:
+            idx = cluster_index[root] = len(clusters)
+            clusters.append(set())
+        cluster = clusters[idx]
+        cluster.add(core)
+        for v in similar[core]:
+            cluster.add(v)
+            if v not in cores:
+                assignments.setdefault(v, set()).add(idx)
 
     hubs = set()
     noise = set()
-    for v in graph.vertices():
+    for v in vertices:
         if v in cores:
             continue
-        assigned = assignments.get(v, set())
+        assigned = assignments.get(v, ())
         if len(assigned) >= 2:
             hubs.add(v)
         elif not assigned:

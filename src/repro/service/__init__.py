@@ -17,9 +17,10 @@ hosts many isolated tenants behind one versioned HTTP surface:
 * :mod:`repro.service.sharding` — :class:`ShardedEngine`, ``N`` inner
   engines over a stable hash partition of the vertex space: cross-shard
   edges replicated to both endpoint shards (graph-only, so owned
-  neighbourhoods stay exact), per-shard scoped labelling, scatter-gather
-  merged reads (:class:`ShardedView`) memoised per view tuple, and
-  per-shard WAL/snapshot durability;
+  neighbourhoods stay exact), per-shard scoped labelling, each shard
+  publishing only its :class:`ShardExport`, scatter-gather merged reads
+  (:class:`ShardedView`) memoised per export tuple, and per-shard
+  WAL/snapshot durability;
 * :mod:`repro.service.replication` — :class:`StandbyEngine`, a warm
   replica that tails a primary tenant's WAL over HTTP
   (:class:`WalShipper`, one per shard) and replays it continuously into a

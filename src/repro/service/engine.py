@@ -60,6 +60,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.core.api import SNAPSHOT_CAPABLE_BACKENDS, Clusterer, make_clusterer
 from repro.core.config import StrCluParams
 from repro.core.dynelm import Update, UpdateKind
+from repro.core.result import ViewDelta
 from repro.persistence.recovery import state_at
 from repro.persistence.snapshot import (
     SNAPSHOT_FILE,
@@ -443,13 +444,9 @@ class ClusteringEngine:
             # snapshot so the old segment is no longer needed
             self._checkpoint()
         # discard deltas accumulated during construction/recovery: the
-        # initial view below is a full capture of exactly that state
+        # initial publication below is a full capture of exactly that state
         self.maintainer.drain_view_delta()
-        self._view: ClusteringView = (
-            ClusteringView.capture(self.maintainer, self.applied)
-            if self.applied
-            else ClusteringView.empty()
-        )
+        self._publish(ViewDelta.full())
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -653,6 +650,11 @@ class ClusteringEngine:
         """Version of the current view — O(1), shared engine-shape surface."""
         return self._view.version
 
+    @property
+    def published_at(self) -> float:
+        """Wall-clock time this writer last published (an event timestamp)."""
+        return self._view.published_at
+
     def cluster_of(self, v: Vertex) -> Tuple[int, ...]:
         """Cluster indices of ``v`` in the current view (timed)."""
         start = time.perf_counter()
@@ -831,45 +833,43 @@ class ClusteringEngine:
             }
 
     def _publish_view(self) -> None:
-        """Publish view N+1 (writer thread only): patch when possible.
+        """Publish the state after a batch (writer thread only), timed.
 
         Drains the backend's :class:`~repro.core.result.ViewDelta` and
-        patches the current view from the flip set; falls back to a full
-        :meth:`ClusteringView.capture` when the backend cannot track
-        deltas, the dirty region exceeds the rebuild threshold, or the
-        persistent buckets need re-sizing.
+        hands it to :meth:`_publish`; the ``view_capture`` metric records
+        the publication's latency, mode and flip-set size.
         """
         start = time.perf_counter()
         delta = self.maintainer.drain_view_delta()
-        view = None
-        flip_set_size: Optional[int] = None
+        mode = self._publish(delta)
+        self.metrics.observe_view_capture(
+            time.perf_counter() - start,
+            mode,
+            None if delta.full_rebuild else len(delta.flips),
+        )
+
+    def _publish(self, delta: ViewDelta) -> str:
+        """Publish view ``applied``; returns ``"incremental"`` or ``"full"``.
+
+        Patches the current view from the delta's flip set; falls back to
+        a full :meth:`ClusteringView.capture` when the backend cannot
+        track deltas, the dirty region exceeds the rebuild threshold, or
+        the persistent buckets need re-sizing.  A shard overrides this to
+        publish its export instead of a view.
+        """
         if not delta.full_rebuild:
-            flip_set_size = len(delta.flips)
             num_vertices = self.maintainer.graph.num_vertices
-            max_dirty = max(64, int(VIEW_REBUILD_FRACTION * num_vertices))
             view = self._view.patched(
                 self.maintainer,
                 delta.flips,
                 version=self.applied,
-                max_dirty=max_dirty,
+                max_dirty=max(64, int(VIEW_REBUILD_FRACTION * num_vertices)),
             )
-        mode = "incremental"
-        if view is None:
-            mode = "full"
-            view = ClusteringView.capture(self.maintainer, self.applied)
-        self._decorate_view(view, delta, mode)
-        self._view = view
-        self.metrics.observe_view_capture(
-            time.perf_counter() - start, mode, flip_set_size
-        )
-
-    def _decorate_view(self, view: ClusteringView, delta, mode: str) -> None:
-        """Hook run (in the writer thread) just before a view is published.
-
-        The base engine publishes views as-is; the sharded composition
-        overrides this to capture the shard's export (owned adjacency and
-        similar-neighbour maps) atomically with the view it describes.
-        """
+            if view is not None:
+                self._view = view
+                return "incremental"
+        self._view = ClusteringView.capture(self.maintainer, self.applied)
+        return "full"
 
     def _applicable(self, update: Update) -> bool:
         """Pre-validate an update against the live graph.

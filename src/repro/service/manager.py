@@ -566,7 +566,7 @@ class EngineManager:
             {
                 "shard": slot,
                 "position": writer.applied,
-                "last_applied_at": writer.view().published_at,
+                "last_applied_at": writer.published_at,
             }
             for slot, writer in enumerate(engine.shards)
         ]

@@ -1001,13 +1001,13 @@ class StandbyEngine:
                 "lag": lag,
                 "connected": shipper.connected,
             }
-            # wall-clock staleness: the publish timestamp of the shard's
-            # current view (views.py is the one sanctioned wall-clock
-            # source), so watchdogs and routing clients don't have to
-            # infer freshness from position deltas alone
+            # wall-clock staleness: the shard writer's last publish
+            # timestamp (its view's or its export's), so watchdogs and
+            # routing clients don't have to infer freshness from position
+            # deltas alone
             with self._lock:
                 engine = self._engine
-            applied_at = engine.shards[shipper.slot].view().published_at
+            applied_at = engine.shards[shipper.slot].published_at
             row["last_applied_at"] = applied_at
             if oldest_applied_at is None or applied_at < oldest_applied_at:
                 oldest_applied_at = applied_at

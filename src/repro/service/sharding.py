@@ -22,18 +22,23 @@ vertex space across ``N`` inner engines:
   comes from on any core count: each similar-or-not decision is made by
   exactly one shard, and boundary decisions leave the ingest hot path
   entirely.
-* **Scatter-gather merged reads.**  A read grabs one immutable
-  ``(view, export)`` pair per shard — the *view tuple* — and merges them:
-  boundary-edge similarities are computed exactly from the owners'
-  exported closed neighbourhoods, global core status from the combined
-  similar-neighbour counts, and clusters by a union-find pass over core
-  vertices linked by similar edges (cross-shard clusters merge exactly
-  where they share boundary core similarity).  The merge is memoised per
-  view tuple, so repeated ``group_by`` / ``cluster_of`` / ``stats`` calls
-  on an unchanged system cost a dictionary lookup.
+* **Exports, not views.**  A shard's scoped labels leave its boundary
+  edges undecided, so its own clustering answers no query.  After each
+  batch a shard publishes only its :class:`ShardExport` (owned adjacency
+  and same-shard similar neighbours), patched from the flip set.
+* **Scatter-gather merged reads.**  A read grabs one immutable export per
+  shard — the *export tuple* — and merges them: boundary-edge
+  similarities are computed exactly from the owners' exported closed
+  neighbourhoods, and the clustering is retrieved from the combined
+  similar-neighbour map by the same Fact-1 retrieval a single maintainer
+  uses (:func:`~repro.core.result.clustering_from_similar`), so
+  cross-shard clusters merge exactly where they share boundary core
+  similarity.  The merge is memoised per export tuple, so repeated
+  ``group_by`` / ``cluster_of`` / ``stats`` calls on an unchanged system
+  cost a dictionary lookup.
 
 **Consistency caveat** (documented in docs/API.md): the merge combines each
-shard's *latest published* view — a consistent prefix of that shard's
+shard's *latest published* export — a consistent prefix of that shard's
 sub-stream — but the cut across shards is not globally serialised.  After a
 ``flush()`` (or any quiescent moment) the merged result is exactly the
 sequential single-engine clustering of the whole stream; the property suite
@@ -56,21 +61,21 @@ import queue
 import threading
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.connectivity.union_find import UnionFind
 from repro.core.config import StrCluParams
 from repro.core.dynelm import Update, UpdateKind
 from repro.core.result import (
     Clustering,
     GroupByResult,
-    clustering_from_membership,
+    ViewDelta,
+    clustering_from_similar,
     group_by_membership,
 )
 from repro.graph.dynamic_graph import Vertex, canonical_edge
-from repro.graph.similarity import SimilarityKind, pair_similarity
+from repro.graph.similarity import pair_similarity
 from repro.persistence.snapshot import write_durable
 from repro.persistence.updatelog import format_vertex_token
 from repro.service.engine import (
@@ -186,18 +191,19 @@ def make_label_scope(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardExport:
-    """What one shard contributes to the scatter-gather merge.
+    """What one shard publishes: its contribution to the merge.
 
-    Captured atomically with the shard's published view (same writer
-    thread, same batch boundary), covering only the shard's **owned**
-    vertices:
+    Captured by the shard's writer thread at a batch boundary, covering
+    only the shard's **owned** vertices:
 
     Attributes
     ----------
     shard:
         The shard index.
     version:
-        The shard-local view version this export describes.
+        The shard's applied position this export describes.
+    num_vertices / num_edges:
+        Size of the shard graph (owned vertices plus boundary replicas).
     adjacency:
         ``owned vertex → frozenset of all its neighbours`` — complete by
         the boundary-replication invariant, including neighbours owned by
@@ -208,21 +214,17 @@ class ShardExport:
         neighbours`` (entries omitted when empty).  Boundary similarities
         are deliberately absent — the merge derives them from the two
         owners' adjacencies.
+    published_at:
+        Wall-clock capture time (``time.time()``), an event timestamp.
     """
 
     shard: int
     version: int
+    num_vertices: int
+    num_edges: int
     adjacency: PersistentMap
     similar: PersistentMap
-
-    @classmethod
-    def empty(cls, shard: int) -> "ShardExport":
-        return cls(
-            shard=shard,
-            version=0,
-            adjacency=PersistentMap.empty(),
-            similar=PersistentMap.empty(),
-        )
+    published_at: float = field(default_factory=time.time)
 
 
 def _closed(v: Vertex, neighbours: Optional[FrozenSet[Vertex]]) -> Set[Vertex]:
@@ -296,11 +298,11 @@ def capture_shard_export(
     return ShardExport(
         shard=shard_index,
         version=version,
+        num_vertices=graph.num_vertices,
+        num_edges=graph.num_edges,
         adjacency=PersistentMap.build(adjacency),
         similar=PersistentMap.build(similar),
     )
-
-
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +317,7 @@ class ShardedView:
     layer and the manager serve sharded tenants unchanged.
 
     ``version`` is a monotonic *merge ordinal*: the sum of the per-shard
-    view versions.  Unlike an unsharded tenant's ``view_version`` it is
+    export versions.  Unlike an unsharded tenant's ``view_version`` it is
     **not** the logical update-prefix count — every cross-shard update is
     applied by two shards and therefore contributes twice.  At any
     quiescent moment ``version == applied + cross_shard_updates`` (the
@@ -329,12 +331,8 @@ class ShardedView:
         "num_vertices",
         "num_edges",
         "published_at",
+        "clustering",
         "_membership",
-        "_clusters",
-        "_cores",
-        "_hubs",
-        "_noise",
-        "_clustering_cache",
     )
 
     def __init__(
@@ -343,23 +341,18 @@ class ShardedView:
         shard_versions: Tuple[int, ...],
         num_vertices: int,
         num_edges: int,
-        membership: Dict[Vertex, Tuple[int, ...]],
-        clusters: Dict[int, FrozenSet[Vertex]],
-        cores: Set[Vertex],
-        hubs: Set[Vertex],
-        noise: Set[Vertex],
+        published_at: float,
+        clustering: Clustering,
     ) -> None:
         self.version = version
         self.shard_versions = shard_versions
         self.num_vertices = num_vertices
         self.num_edges = num_edges
-        self.published_at = time.time()
-        self._membership = membership
-        self._clusters = clusters
-        self._cores = cores
-        self._hubs = hubs
-        self._noise = noise
-        self._clustering_cache: Optional[Clustering] = None
+        self.published_at = published_at
+        self.clustering = clustering
+        self._membership: Dict[Vertex, Tuple[int, ...]] = {
+            v: tuple(indices) for v, indices in clustering.membership().items()
+        }
 
     # -- queries (same semantics as ClusteringView) ---------------------
     def cluster_of(self, v: Vertex) -> Tuple[int, ...]:
@@ -368,16 +361,6 @@ class ShardedView:
     def group_by(self, query: Iterable[Vertex]) -> GroupByResult:
         return group_by_membership(self._membership, query)
 
-    @property
-    def clustering(self) -> Clustering:
-        cached = self._clustering_cache
-        if cached is None:
-            cached = clustering_from_membership(
-                self._membership, set(self._cores), set(self._hubs), set(self._noise)
-            )
-            self._clustering_cache = cached
-        return cached
-
     def stats(self) -> Dict[str, object]:
         return {
             "view_version": self.version,
@@ -385,37 +368,29 @@ class ShardedView:
             "num_vertices": self.num_vertices,
             "num_edges": self.num_edges,
             "published_at": self.published_at,
-            "clusters": len(self._clusters),
-            "cores": len(self._cores),
-            "hubs": len(self._hubs),
-            "noise": len(self._noise),
-            "largest_cluster": max(
-                (len(members) for members in self._clusters.values()), default=0
-            ),
+            **self.clustering.summary(),
         }
 
 
 def merge_shard_views(
-    snapshots: Tuple[Tuple[ClusteringView, ShardExport], ...],
+    exports: Tuple[ShardExport, ...],
     params: StrCluParams,
     num_shards: int,
     owner: Optional[_OwnerMap] = None,
 ) -> ShardedView:
-    """The scatter-gather merge: per-shard snapshots → one global clustering.
+    """The scatter-gather merge: per-shard exports → one global clustering.
 
     1. Seed every owned vertex's similar-neighbour set with its shard's
        same-shard decisions (exported straight from the shard's labelling).
     2. Resolve every **boundary edge** — discovered from both owners'
        adjacencies, deduplicated — by computing its exact similarity from
        the two exported closed neighbourhoods.
-    3. Core status from the combined counts (``SimCnt ≥ μ``), clusters by
-       union-find over cores linked by similar edges, attachments / hubs /
-       noise exactly as in Fact 1's retrieval.
+    3. Retrieve the clustering from the combined similar-neighbour map
+       with Fact 1 (:func:`~repro.core.result.clustering_from_similar`).
     """
     epsilon = params.epsilon
     kind = params.similarity
     owner_of = owner if owner is not None else _OwnerMap(num_shards)
-    exports = [export for _view, export in snapshots]
 
     # 1. same-shard similar neighbours
     sim: Dict[Vertex, Set[Vertex]] = {}
@@ -434,8 +409,10 @@ def merge_shard_views(
             closed_cache[v] = cached
         return cached
 
+    total_degree = 0
     for export in exports:
         for u, nbrs in export.adjacency.items():
+            total_degree += len(nbrs)
             for w in nbrs:
                 if owner_of(w) == export.shard:
                     continue  # same-shard edge: already decided by the shard
@@ -448,66 +425,15 @@ def merge_shard_views(
                     sim.setdefault(u, set()).add(w)
                     sim.setdefault(w, set()).add(u)
 
-    # 3. cores, components, clusters, roles
-    mu = params.mu
-    cores = {u for u, neighbours in sim.items() if len(neighbours) >= mu}
-    uf = UnionFind(cores)
-    for u in cores:
-        for v in sim[u]:
-            if v in cores:
-                uf.union(u, v)
-
-    cluster_index: Dict[Vertex, int] = {}
-    members: List[Set[Vertex]] = []
-    for core in cores:
-        root = uf.find(core)
-        idx = cluster_index.get(root)
-        if idx is None:
-            idx = len(members)
-            cluster_index[root] = idx
-            members.append(set())
-        members[idx].add(core)
-
-    membership_sets: Dict[Vertex, Set[int]] = {}
-    for core in cores:
-        idx = cluster_index[uf.find(core)]
-        membership_sets.setdefault(core, set()).add(idx)
-        for v in sim[core]:
-            members[idx].add(v)
-            membership_sets.setdefault(v, set()).add(idx)
-
-    membership = {
-        v: tuple(sorted(indices)) for v, indices in membership_sets.items()
-    }
-    clusters = {idx: frozenset(cluster) for idx, cluster in enumerate(members)}
-
-    hubs: Set[Vertex] = set()
-    noise: Set[Vertex] = set()
-    total_vertices = 0
-    total_degree = 0
-    for export in exports:
-        for v, nbrs in export.adjacency.items():
-            total_vertices += 1
-            total_degree += len(nbrs)
-            if v in cores:
-                continue
-            assigned = membership_sets.get(v, ())
-            if len(assigned) >= 2:
-                hubs.add(v)
-            elif not assigned:
-                noise.add(v)
-
-    versions = tuple(export.version for export in exports)
+    # 3. Fact 1 over every owned vertex
+    vertices = [v for export in exports for v in export.adjacency]
     return ShardedView(
-        version=sum(view.version for view, _export in snapshots),
-        shard_versions=versions,
-        num_vertices=total_vertices,
+        version=sum(export.version for export in exports),
+        shard_versions=tuple(export.version for export in exports),
+        num_vertices=len(vertices),
         num_edges=total_degree // 2,
-        membership=membership,
-        clusters=clusters,
-        cores=cores,
-        hubs=hubs,
-        noise=noise,
+        published_at=max(export.published_at for export in exports),
+        clustering=clustering_from_similar(sim, vertices, params.mu),
     )
 
 
@@ -515,13 +441,15 @@ def merge_shard_views(
 # the shard-local engine (inner engine + export capture)
 # ----------------------------------------------------------------------
 class _ShardEngine(ClusteringEngine):
-    """One shard: a :class:`ClusteringEngine` that also captures exports.
+    """One shard: a :class:`ClusteringEngine` that publishes an export.
 
-    The export is maintained incrementally from the backend's flip set
-    (the same delta that patches the view): only vertices in ``F`` can
-    have changed adjacency, similar neighbours or presence.  Backends that
-    report full rebuilds — or export maps that outgrow their buckets —
-    fall back to a full export rebuild, mirroring the view discipline.
+    Its scoped labels leave every boundary edge undecided, so the shard's
+    own clustering answers no query; what it publishes after each batch
+    is its :class:`ShardExport`, and only the merge reads a clustering.
+    The export is patched from the backend's flip set: only vertices in
+    ``F`` can have changed adjacency, similar neighbours or presence.
+    Backends that report full rebuilds — or export maps that outgrow their
+    buckets — fall back to a full export rebuild.
     """
 
     _APPLY_SPAN_NAME = "shard.apply"
@@ -542,44 +470,41 @@ class _ShardEngine(ClusteringEngine):
             label_scope=make_label_scope(shard_index, num_shards, self._owner),
             **kwargs,
         )
-        self._published: Tuple[ClusteringView, ShardExport] = (
-            self._view,
-            self._full_export(self._view.version),
+
+    def export(self) -> ShardExport:
+        """The latest published export, atomic under the GIL."""
+        return self._export
+
+    def view(self) -> ClusteringView:
+        raise EngineError(
+            "a shard publishes its export, not a view; read the "
+            "ShardedEngine's merged view"
         )
 
-    def shard_snapshot(self) -> Tuple[ClusteringView, ShardExport]:
-        """The latest (view, export) pair, atomic under the GIL."""
-        return self._published
+    @property
+    def published_at(self) -> float:
+        return self._export.published_at
 
-    # -- export capture (writer thread only) ----------------------------
-    def _decorate_view(self, view: ClusteringView, delta, mode: str) -> None:
-        export: Optional[ShardExport] = None
+    # -- export publication (writer thread only) ------------------------
+    def _publish(self, delta: ViewDelta) -> str:
         if not delta.full_rebuild:
-            export = self._patched_export(view.version, delta.flips)
-        if export is None:
-            export = self._full_export(view.version)
-        self._published = (view, export)
-
-    def _sim_neighbours(self, v: Vertex) -> Set[Vertex]:
-        """Same-shard similar neighbours (see :func:`capture_similar_neighbours`)."""
-        return capture_similar_neighbours(
-            self.maintainer, v, self.shard_index, self._owner
-        )
-
-    def _full_export(self, version: int) -> ShardExport:
-        return capture_shard_export(
+            export = self._patched_export(delta.flips)
+            if export is not None:
+                self._export = export
+                return "incremental"
+        self._export = capture_shard_export(
             self.maintainer,
             self.shard_index,
             self.num_shards,
-            version,
+            self.applied,
             owner=self._owner,
         )
+        return "full"
 
-    def _patched_export(
-        self, version: int, flips: Iterable[Vertex]
-    ) -> Optional[ShardExport]:
-        previous = self._published[1]
-        graph = self.maintainer.graph
+    def _patched_export(self, flips: Iterable[Vertex]) -> Optional[ShardExport]:
+        previous = self._export
+        maintainer = self.maintainer
+        graph = maintainer.graph
         index, owner_of = self.shard_index, self._owner
         adjacency_changes: Dict[Vertex, Optional[FrozenSet[Vertex]]] = {}
         similar_changes: Dict[Vertex, Optional[FrozenSet[Vertex]]] = {}
@@ -591,14 +516,19 @@ class _ShardEngine(ClusteringEngine):
                 similar_changes[v] = None
                 continue
             adjacency_changes[v] = frozenset(graph.neighbours(v))
-            sim = self._sim_neighbours(v)
+            sim = capture_similar_neighbours(maintainer, v, index, owner_of)
             similar_changes[v] = frozenset(sim) if sim else None
         adjacency = previous.adjacency.assign(adjacency_changes)
         similar = previous.similar.assign(similar_changes)
         if adjacency.overloaded or similar.overloaded:
             return None  # let the full rebuild re-bucket for the new size
         return ShardExport(
-            shard=index, version=version, adjacency=adjacency, similar=similar
+            shard=index,
+            version=self.applied,
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
+            adjacency=adjacency,
+            similar=similar,
         )
 
 
@@ -653,7 +583,7 @@ class ShardedEngine:
         self._close_lock = threading.Lock()
         self._failure: Optional[BaseException] = None
         self._merged_cache: Optional[
-            Tuple[Tuple[Tuple[ClusteringView, ShardExport], ...], ShardedView]
+            Tuple[Tuple[ShardExport, ...], ShardedView]
         ] = None
 
         manifest_applied = 0
@@ -844,7 +774,7 @@ class ShardedEngine:
 
         Raises :class:`EngineError` when any shard refuses to close — after
         attempting them *all* — leaving the engine in a *cleanly* failed
-        state: reads keep working (the published views are immutable), new
+        state: reads keep working (the published exports are immutable), new
         submits are rejected with :class:`EngineClosed` (never silently
         black-holed into a stopped router), and a retry re-attempts the
         failed shards (a shard whose own close failed stayed fully open;
@@ -1151,29 +1081,29 @@ class ShardedEngine:
             raise EngineError("sharded router failed") from self._failure
 
     # ------------------------------------------------------------------
-    # read path (scatter-gather, memoised per view tuple)
+    # read path (scatter-gather, memoised per export tuple)
     # ------------------------------------------------------------------
     @property
     def view_version(self) -> int:
         """The merge ordinal the next :meth:`view` call would carry — O(1).
 
-        Derived straight from the shards' published snapshots so version
+        Derived straight from the shards' published exports so version
         polls (the tenant listing, ``describe``) never pay for a merge.
         """
-        return sum(shard.shard_snapshot()[0].version for shard in self.shards)
+        return sum(shard.export().version for shard in self.shards)
 
     def view(self) -> ShardedView:
-        """The merged view of the latest per-shard published snapshots."""
-        snapshots = tuple(shard.shard_snapshot() for shard in self.shards)
+        """The merged view of the latest per-shard published exports."""
+        exports = tuple(shard.export() for shard in self.shards)
         cached = self._merged_cache
         if cached is not None and all(
-            old is new for old, new in zip(cached[0], snapshots)
+            old is new for old, new in zip(cached[0], exports)
         ):
             return cached[1]
         merged = merge_shard_views(
-            snapshots, self.params, self.num_shards, owner=self._owner
+            exports, self.params, self.num_shards, owner=self._owner
         )
-        self._merged_cache = (snapshots, merged)
+        self._merged_cache = (exports, merged)
         return merged
 
     def cluster_of(self, v: Vertex) -> Tuple[int, ...]:
@@ -1193,15 +1123,15 @@ class ShardedEngine:
         view = self.view()
         shard_rows: List[Dict[str, object]] = []
         for shard in self.shards:
-            local_view, export = shard.shard_snapshot()
+            export = shard.export()
             shard_rows.append(
                 {
                     "shard": shard.shard_index,
                     "queue_depth": shard.queue_depth,
                     "applied": shard.applied,
-                    "view_version": local_view.version,
-                    "num_vertices": local_view.num_vertices,
-                    "num_edges": local_view.num_edges,
+                    "view_version": export.version,
+                    "num_vertices": export.num_vertices,
+                    "num_edges": export.num_edges,
                     "owned_vertices": len(export.adjacency),
                     "running": shard.running,
                 }

@@ -93,21 +93,18 @@ def capture_view(
 ) -> Union[ClusteringView, ShardedView]:
     """The read view of per-shard maintainers at ``positions``.
 
-    One maintainer is captured as is; several go through the live
-    scatter-gather merge, exactly as a sharded tenant's current view.
+    One maintainer is captured as is; several publish their exports into
+    the live scatter-gather merge, exactly as a sharded tenant's shards.
     """
     num_shards = len(maintainers)
     if num_shards == 1:
         return ClusteringView.capture(maintainers[0], positions[0])
     owner = _OwnerMap(num_shards)
-    snapshots = tuple(
-        (
-            ClusteringView.capture(maintainer, position),
-            capture_shard_export(maintainer, index, num_shards, position, owner=owner),
-        )
+    exports = tuple(
+        capture_shard_export(maintainer, index, num_shards, position, owner=owner)
         for index, (maintainer, position) in enumerate(zip(maintainers, positions))
     )
-    return merge_shard_views(snapshots, params, num_shards, owner=owner)
+    return merge_shard_views(exports, params, num_shards, owner=owner)
 
 
 class HistoricalViewStore:
