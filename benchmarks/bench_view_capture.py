@@ -12,7 +12,8 @@ Defaults reproduce the acceptance configuration (n ≈ 50k vertices,
 batches of ≤ 64 updates); ``--triangles``/``--batches``/``--batch-size``
 scale it down for CI smoke runs.  ``--verify`` additionally checks, on
 every batch, that the patched view is exactly equivalent to the full
-capture (cluster family, role counts, materialised clustering).
+capture (cluster family, role counts, group-by answers on both sides of
+the per-vertex/per-cluster crossover, materialised clustering).
 
 Runs both under pytest (``pytest benchmarks/bench_view_capture.py``, small
 configuration) and standalone (``python benchmarks/bench_view_capture.py``).
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional
 from repro.bench.report import host_fingerprint
 from repro.core.config import StrCluParams
 from repro.core.dynstrclu import DynStrClu
-from repro.core.result import clusterings_equal
+from repro.core.result import CLUSTER_SCAN_RATIO, clusterings_equal
 from repro.service.views import ClusteringView
 
 #: Output document, written next to the other BENCH artefacts.
@@ -57,12 +58,29 @@ def _build_maintainer(num_triangles: int) -> DynStrClu:
     return algo
 
 
+def _group_by_queries(full: ClusteringView) -> List[List[int]]:
+    """A small query, one at the group-by crossover, and every vertex.
+
+    With one cluster per triangle the crossover query is two thirds of the
+    vertices, so both paths of :func:`repro.core.result.group_by_clusters`
+    run here.
+    """
+    vertices = list(range(full.num_vertices))
+    crossover = CLUSTER_SCAN_RATIO * full.stats()["clusters"]
+    return [vertices[:8], vertices[:crossover], vertices]
+
+
 def _views_equivalent(patched: ClusteringView, full: ClusteringView) -> bool:
     stats_p = patched.stats()
     stats_f = full.stats()
     for key in ("clusters", "cores", "hubs", "noise", "largest_cluster",
                 "num_vertices", "num_edges", "view_version"):
         if stats_p[key] != stats_f[key]:
+            return False
+    for query in _group_by_queries(full):
+        groups_p = {frozenset(g) for g in patched.group_by(query).as_sets()}
+        groups_f = {frozenset(g) for g in full.group_by(query).as_sets()}
+        if groups_p != groups_f:
             return False
     return clusterings_equal(patched.clustering, full.clustering)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Collection, Dict, Iterable, Mapping, Optional
 
 from repro.core.result import Clustering
 from repro.graph.dynamic_graph import Vertex
@@ -81,7 +81,9 @@ def classify_roles(
 
 
 def role_of(
-    v: Vertex, clustering: Clustering, membership: Optional[Mapping[Vertex, list]] = None
+    v: Vertex,
+    clustering: Clustering,
+    membership: Optional[Mapping[Vertex, Collection[int]]] = None,
 ) -> VertexRole:
     """Role of a single vertex (convenience wrapper around :func:`classify_roles`)."""
     if membership is None:
@@ -89,7 +91,9 @@ def role_of(
     return _role(v, clustering, membership)
 
 
-def _role(v: Vertex, clustering: Clustering, membership: Mapping[Vertex, list]) -> VertexRole:
+def _role(
+    v: Vertex, clustering: Clustering, membership: Mapping[Vertex, Collection[int]]
+) -> VertexRole:
     if v in clustering.cores:
         return VertexRole.CORE
     assigned = membership.get(v, [])

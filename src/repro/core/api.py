@@ -58,7 +58,7 @@ from typing import (
 from repro.core.config import StrCluParams
 from repro.core.dynelm import DynELM, Update, UpdateKind
 from repro.core.dynstrclu import DynStrClu
-from repro.core.result import Clustering, GroupByResult, ViewDelta, group_by_membership
+from repro.core.result import Clustering, GroupByResult, ViewDelta, group_by_clusters
 from repro.graph.dynamic_graph import DynamicGraph, Vertex
 from repro.instrumentation import MemoryModel, NULL_COUNTER, OpCounter
 
@@ -139,9 +139,11 @@ def _group_by_from_clustering(
     structures: costs one O(n + m) retrieval per query instead of
     O(|Q| log n), but partitions the query set identically because cluster
     membership in the retrieved :class:`Clustering` is defined by exactly
-    the relation the live query path evaluates.
+    the relation the live query path evaluates.  Having paid for the
+    retrieval, it intersects each cluster with the query rather than
+    building the vertex→cluster index.
     """
-    return group_by_membership(clustering.membership(), query)
+    return group_by_clusters(dict(enumerate(clustering.clusters)), query)
 
 
 class DynELMClusterer(FullRebuildDeltaMixin):

@@ -87,8 +87,11 @@ class MemoryModel:
     Every algorithm exposes a ``memory_words()`` method built on this model.
     The constants below approximate the per-element footprint the paper's
     C++ implementation would pay; the point of Table 1 is the *relative*
-    footprint (all methods linear in ``n + m``; DynStrClu ~10-20% above
-    DynELM; hSCAN roughly 2x), which these counts preserve.
+    footprint.  What ``benchmarks/bench_table1_memory.py`` prints with
+    these constants: every method is linear in ``n + m``; DynStrClu takes
+    1.2-2.1x DynELM's words (the CC structure and vAuxInfo on top); pSCAN
+    takes ~0.7x DynELM; and hSCAN takes exactly DynELM's words, where the
+    paper reports it at roughly 2x.
     """
 
     #: words per adjacency entry (vertex id + set/BST overhead)

@@ -1019,8 +1019,9 @@ class ClusteringServiceServer:
         if not isinstance(vertices, list):
             raise BadRequest('"vertices" must be a list')
         # an int is already canonical; `type(v) is int` keeps bools (an int
-        # subclass) on the checked path, which answers them with a 400
-        query = [v if type(v) is int else _decode_vertex(v) for v in vertices]
+        # subclass) on the checked path, which answers them with a 400; a
+        # set query is intersected with the view's clusters as it is
+        query = {v if type(v) is int else _decode_vertex(v) for v in vertices}
         if view is None:
             view = engine.view()
         start = _now()

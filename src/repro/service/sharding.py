@@ -72,7 +72,7 @@ from repro.core.result import (
     GroupByResult,
     ViewDelta,
     clustering_from_similar,
-    group_by_membership,
+    group_by_clusters,
 )
 from repro.graph.dynamic_graph import Vertex, canonical_edge
 from repro.graph.similarity import pair_similarity
@@ -332,6 +332,7 @@ class ShardedView:
         "num_edges",
         "published_at",
         "clustering",
+        "_clusters",
         "_membership",
     )
 
@@ -350,16 +351,15 @@ class ShardedView:
         self.num_edges = num_edges
         self.published_at = published_at
         self.clustering = clustering
-        self._membership: Dict[Vertex, Tuple[int, ...]] = {
-            v: tuple(indices) for v, indices in clustering.membership().items()
-        }
+        self._clusters: Dict[int, Set[Vertex]] = dict(enumerate(clustering.clusters))
+        self._membership = clustering.membership()
 
     # -- queries (same semantics as ClusteringView) ---------------------
     def cluster_of(self, v: Vertex) -> Tuple[int, ...]:
         return self._membership.get(v, ())
 
     def group_by(self, query: Iterable[Vertex]) -> GroupByResult:
-        return group_by_membership(self._membership, query)
+        return group_by_clusters(self._clusters, query, self._membership)
 
     def stats(self) -> Dict[str, object]:
         return {

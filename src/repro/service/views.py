@@ -52,7 +52,7 @@ from repro.core.result import (
     Clustering,
     GroupByResult,
     clustering_from_membership,
-    group_by_membership,
+    group_by_clusters,
 )
 from repro.graph.dynamic_graph import Vertex
 
@@ -220,10 +220,7 @@ class ClusteringView:
         clustering = maintainer.clustering()
         graph = maintainer.graph
         n = graph.num_vertices
-        membership = PersistentMap.build(
-            {v: tuple(indices) for v, indices in clustering.membership().items()},
-            expect=n,
-        )
+        membership = PersistentMap.build(clustering.membership(), expect=n)
         clusters = PersistentMap.build(
             {index: frozenset(c) for index, c in enumerate(clustering.clusters)}
         )
@@ -366,9 +363,10 @@ class ClusteringView:
 
         Groups are keyed by the view's opaque cluster keys; identifiers are
         not stable across views (matching the opaque component identifiers
-        of the live query path).
+        of the live query path).  A large query intersects the clusters
+        instead of looking up its vertices (:func:`group_by_clusters`).
         """
-        return group_by_membership(self._membership, query)
+        return group_by_clusters(self._clusters, query, self._membership)
 
     @property
     def clustering(self) -> Clustering:

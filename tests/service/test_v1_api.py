@@ -313,6 +313,60 @@ class TestUnversionedPaths:
         assert client.stats()["applied"] == 0
 
 
+#: two 4-cliques bridged by the hub 8, and the noise path 9-10-11
+#: (at ε = 0.3, μ = 3: two clusters sharing 8, noise {9, 10, 11})
+HUB_AND_NOISE = [
+    (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+    (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+    (8, 0), (8, 4), (9, 10), (10, 11),
+]
+HUB_PARAMS = {"epsilon": 0.3, "mu": 3}
+
+
+class TestGroupByEveryVertex:
+    """A group-by over the whole vertex set (the per-cluster path)."""
+
+    @pytest.mark.parametrize("name", [lambda v: v, lambda v: f"v{v}"], ids=["int", "str"])
+    def test_matches_the_live_maintainer(self, service, name):
+        manager, background, client = service
+        client.create_tenant("wide", params=HUB_PARAMS)
+        wide = client.for_tenant("wide")
+        updates = [Update.insert(name(u), name(v)) for u, v in HUB_AND_NOISE]
+        assert wide.submit_updates(updates) == len(updates)
+        manager.get("wide").flush(timeout=10)
+        live = repro.DynStrClu(StrCluParams(epsilon=0.3, mu=3, rho=0.0))
+        for update in updates:
+            live.apply(update)
+        vertices = [name(v) for v in range(12)]
+        expected = {frozenset(g) for g in live.group_by(vertices).as_sets()}
+        assert len(expected) == 2  # the hub lands in both
+
+        # duplicates and an unknown vertex change nothing
+        query = vertices + vertices[:4] + [name(99)]
+        assert {frozenset(g) for g in wide.group_by(query).as_sets()} == expected
+        status, _headers, document = _raw(
+            background, "POST", "/v1/tenants/wide/group-by", {"vertices": query}
+        )
+        assert status == 200
+        for members in document["groups"].values():
+            assert members == sorted(set(members), key=repr)
+        wide.close()
+
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_bool_and_float_vertices_are_a_400(self, service, bad):
+        manager, background, client = service
+        client.submit_updates(TRIANGLES)
+        manager.get("default").flush(timeout=10)
+        status, _headers, document = _raw(
+            background,
+            "POST",
+            "/v1/tenants/default/group-by",
+            {"vertices": list(range(1, 7)) + [bad]},
+        )
+        assert status == 400
+        assert document["error"]["code"] == "bad_request"
+
+
 class TestShardedTenantsOverHTTP:
     """The sharded engine behind the unchanged v1 surface."""
 
