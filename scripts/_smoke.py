@@ -8,6 +8,7 @@ directory on ``sys.path``, so each imports these with
 from __future__ import annotations
 
 import socket
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +16,10 @@ from repro.persistence import state_at
 from repro.service import ServiceClient
 from repro.service.sharding import SHARD_DIR_FORMAT, make_label_scope
 from repro.service.timetravel import capture_view
+
+#: The two tenants the failover and time-travel smokes drive: one unsharded,
+#: one over four shards.
+SOLO, WIDE = "solo", "wide"
 
 
 def free_port() -> int:
@@ -33,6 +38,22 @@ def wait_healthy(port: int, timeout: float) -> None:
         ServiceClient.wait_until_healthy("127.0.0.1", port, timeout=timeout)
     except RuntimeError as exc:
         fail(str(exc))
+
+
+def start_loadgen(port: int, updates: int) -> subprocess.Popen:
+    """``repro loadgen`` sending ``updates`` google updates to both tenants."""
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "loadgen", "--port", str(port),
+            "--tenant", SOLO, "--tenant", WIDE, "--dataset", "google",
+            "--updates", str(updates), "--query-ratio", "0.02", "--seed", "0",
+        ],
+    )
+
+
+def groups_of(document: dict) -> set:
+    """A group-by response's non-empty groups, as frozensets."""
+    return {frozenset(members) for members in document["groups"].values() if members}
 
 
 def reference(tenant_dir: Path, positions: list[int]) -> tuple:

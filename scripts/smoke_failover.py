@@ -68,9 +68,18 @@ from pathlib import Path
 from repro.core.dynelm import Update
 from repro.service import ServiceClient, ServiceError
 
-from _smoke import describe, fail, free_port, reference, wait_healthy
+from _smoke import (
+    SOLO,
+    WIDE,
+    describe,
+    fail,
+    free_port,
+    groups_of,
+    reference,
+    start_loadgen,
+    wait_healthy,
+)
 
-SOLO, WIDE = "solo", "wide"
 UPDATES = 12000
 MIN_REPLICATED = 300  # positions each tenant must reach before the kill
 
@@ -96,46 +105,11 @@ def _serve(port: int, data_root: Path) -> subprocess.Popen:
     )
 
 
-def _loadgen(port: int) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "loadgen",
-            "--port",
-            str(port),
-            "--tenant",
-            SOLO,
-            "--tenant",
-            WIDE,
-            "--dataset",
-            "google",
-            "--updates",
-            str(UPDATES),
-            "--query-ratio",
-            "0.02",
-            "--seed",
-            "0",
-        ],
-    )
-
-
 def _standby_positions(client: ServiceClient) -> list[int]:
     block = client.stats().get("replication")
     if not isinstance(block, dict):
         fail(f"tenant {client.tenant!r} has no replication stats block")
     return [int(row["position"]) for row in block["shards"]]
-
-
-def _groups(document: dict) -> set:
-    return {
-        frozenset(members)
-        for members in (
-            group for group in (v for v in document["groups"].values())
-        )
-        if members
-    }
 
 
 def main() -> int:
@@ -166,7 +140,7 @@ def main() -> int:
                 fail(f"standby tenant {name!r} not marked as a replica: {row}")
 
         # --- drive the primary, kill it mid-stream ---------------------
-        loadgen = _loadgen(primary_port)
+        loadgen = start_loadgen(primary_port, UPDATES)
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
             solo_done = min(_standby_positions(solo_client), default=0)
@@ -233,7 +207,7 @@ def main() -> int:
         solo_reference, solo_edges, solo_vertices = reference(
             primary_root / SOLO, list(solo_positions)
         )
-        solo_groups = _groups(solo_client.group_by_raw(solo_vertices))
+        solo_groups = groups_of(solo_client.group_by_raw(solo_vertices))
         if solo_groups != solo_reference:
             fail(
                 f"solo clustering diverged at acked position "
@@ -249,7 +223,7 @@ def main() -> int:
         wide_reference, wide_edges, wide_vertices = reference(
             primary_root / WIDE, list(wide_positions)
         )
-        wide_groups = _groups(wide_client.group_by_raw(wide_vertices))
+        wide_groups = groups_of(wide_client.group_by_raw(wide_vertices))
         if wide_groups != wide_reference:
             fail(
                 f"wide clustering diverged at acked positions "
@@ -287,7 +261,7 @@ def main() -> int:
                 # `applied` advances at admission for sharded tenants, so
                 # poll the *published clustering* for the new triangle
                 if client.stats()["applied"] >= before + len(fresh):
-                    groups = _groups(client.group_by_raw(sorted(triangle)))
+                    groups = groups_of(client.group_by_raw(sorted(triangle)))
                     if triangle in groups:
                         clustered = True
                         break
@@ -489,7 +463,7 @@ def _verify_cut(
     positions = _positions_of(doc)
     expected, ref_edges, vertices = reference(dead_root / tenant, positions)
     with ServiceClient("127.0.0.1", winner_port, tenant=tenant) as client:
-        groups = _groups(client.group_by_raw(vertices))
+        groups = groups_of(client.group_by_raw(vertices))
         edges = client.stats()["num_edges"]
     if groups != expected:
         fail(

@@ -40,9 +40,18 @@ from pathlib import Path
 from repro.core.dynelm import Update
 from repro.service import ServiceClient, ServiceError
 
-from _smoke import describe, fail, free_port, reference, wait_healthy
+from _smoke import (
+    SOLO,
+    WIDE,
+    describe,
+    fail,
+    free_port,
+    groups_of,
+    reference,
+    start_loadgen,
+    wait_healthy,
+)
 
-SOLO, WIDE = "solo", "wide"
 UPDATES = 6000
 CHECKPOINT_EVERY = 150
 PROBE = [f"{tenant}:{i}" for tenant in (SOLO, WIDE) for i in range(120)]
@@ -71,39 +80,6 @@ def _serve(port: int, data_root: Path) -> subprocess.Popen:
     )
 
 
-def _loadgen(port: int) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "loadgen",
-            "--port",
-            str(port),
-            "--tenant",
-            SOLO,
-            "--tenant",
-            WIDE,
-            "--dataset",
-            "google",
-            "--updates",
-            str(UPDATES),
-            "--query-ratio",
-            "0.02",
-            "--seed",
-            "0",
-        ],
-    )
-
-
-def _groups(document: dict) -> set:
-    return {
-        frozenset(members)
-        for members in document["groups"].values()
-        if members
-    }
-
-
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="timetravel-smoke-"))
     data_root = tmp / "data"
@@ -121,7 +97,7 @@ def main() -> int:
             fail(f"unexpected tenant shapes: {solo_row} / {wide_row}")
 
         # --- drive the service, recording positions mid-run -------------
-        loadgen = _loadgen(port)
+        loadgen = start_loadgen(port, UPDATES)
         recorded: list[int] = []
         while loadgen.poll() is None:
             applied = int(solo_client.stats()["applied"])
@@ -162,10 +138,10 @@ def main() -> int:
             document = solo_client.group_by_raw(vertices, as_of=position)
             if document["view_version"] != position or document["as_of"] != [position]:
                 fail(f"as_of={position} answered {document['view_version']}")
-            if _groups(document) != expected:
+            if groups_of(document) != expected:
                 fail(
                     f"solo as_of={position} diverged from the offline "
-                    f"replay: {len(_groups(document) ^ expected)} differing groups"
+                    f"replay: {len(groups_of(document) ^ expected)} differing groups"
                 )
             historical_stats = solo_client.stats(as_of=position)
             if historical_stats["num_edges"] != edges:
@@ -177,7 +153,7 @@ def main() -> int:
                   f"({describe(expected, edges)})")
         latest = solo_client.group_by_raw(vertices, as_of="latest")
         live = solo_client.group_by_raw(vertices)
-        if latest["as_of"] != "latest" or _groups(latest) != _groups(live):
+        if latest["as_of"] != "latest" or groups_of(latest) != groups_of(live):
             fail("as_of=latest does not serve the live view")
         print("solo as_of=latest serves the live view")
 
@@ -231,10 +207,10 @@ def main() -> int:
             fail("post-run wide writes never applied")
         expected, edges, vertices = reference(data_root / WIDE, tuple_positions)
         document = wide_client.group_by_raw(vertices, as_of=tuple_positions)
-        if _groups(document) != expected:
+        if groups_of(document) != expected:
             fail(
                 f"wide as_of={tuple_positions} diverged from the offline "
-                f"replay: {len(_groups(document) ^ expected)} differing groups"
+                f"replay: {len(groups_of(document) ^ expected)} differing groups"
             )
         historical_edges = wide_client.stats(as_of=tuple_positions)["num_edges"]
         if historical_edges != edges:

@@ -352,9 +352,9 @@ class HScanClusterer(FullRebuildDeltaMixin):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-#: A factory takes ``(params, counter=None, connectivity_backend="hdt",
-#: scope=None)`` and returns a :class:`Clusterer`; unknown keyword
-#: arguments are ignored by backends that have no use for them.
+#: A factory takes ``(params, counter=None, scope=None)`` and returns a
+#: :class:`Clusterer`; unknown keyword arguments are ignored by backends
+#: that have no use for them.
 ClustererFactory = Callable[..., Clusterer]
 
 _BACKENDS: Dict[str, ClustererFactory] = {}
@@ -390,7 +390,6 @@ def make_clusterer(
     backend: str,
     params: StrCluParams,
     counter: Optional[OpCounter] = None,
-    connectivity_backend: str = "hdt",
     scope: Optional[Callable[..., bool]] = None,
 ) -> Clusterer:
     """Build the named backend from one parameter bundle.
@@ -410,20 +409,15 @@ def make_clusterer(
             f"unknown clustering backend {backend!r}; "
             f"registered: {', '.join(available_backends())}"
         )
-    return factory(
-        params, counter=counter, connectivity_backend=connectivity_backend, scope=scope
-    )
+    return factory(params, counter=counter, scope=scope)
 
 
 def _make_dynstrclu(
     params: StrCluParams,
     counter: Optional[OpCounter] = None,
-    connectivity_backend: str = "hdt",
     scope: Optional[Callable[..., bool]] = None,
 ) -> DynStrClu:
-    return DynStrClu(
-        params, counter=counter, connectivity_backend=connectivity_backend, scope=scope
-    )
+    return DynStrClu(params, counter=counter, scope=scope)
 
 
 register_backend("dynstrclu", _make_dynstrclu)

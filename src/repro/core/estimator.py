@@ -55,7 +55,13 @@ With the hybrid, the ``max_samples`` cap of
 :class:`~repro.core.config.StrCluParams` only matters on edges whose
 endpoints both have more than ``EXACT_COST_RATIO · max_samples`` closed
 neighbours; every other edge gets its exact similarity, which is at least as
-accurate as the uncapped ``L_i`` draws.
+accurate as the uncapped ``L_i`` draws.  On the edges it does bind, a
+sampled label keeps the per-label δ_i bound only while ``max_samples``
+reaches the uncapped ``L_i``.  At ρ ≤ 0.1 with ε ∈ {0.2, 0.5} the default
+cap of 2048 does not reach it (the uncapped L_1 at ρ = 0.01 is in the
+millions), so those labels carry no probabilistic guarantee: the pure
+sampler (``exact_ratio = 0``) at ρ = 0.01 left 1.2–1.6% of labels outside
+the ρ-band on ``email`` and ``google``.
 
 Both oracles implement the same tiny protocol (:class:`SimilarityOracle`),
 so DynELM can run with exact similarities (ρ = 0 mode, ablations) or with

@@ -35,7 +35,7 @@ ENVELOPE_CODE = "REPRO501"
 BLOCKING_ATTRS = frozenset(
     {
         "_dispatch",
-        "_dispatch_v1",
+        "_dispatch_routes",
         "read_text",
         "write_text",
         "read_bytes",

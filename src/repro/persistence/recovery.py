@@ -51,7 +51,6 @@ def state_at(
     position: Optional[int] = None,
     *,
     params: Optional[StrCluParams] = None,
-    connectivity_backend: str = "hdt",
     scope: Optional[Callable[[Vertex, Vertex], bool]] = None,
 ) -> Tuple[DynStrClu, int]:
     """The maintainer holding ``data_dir``'s state after ``position`` updates.
@@ -91,15 +90,9 @@ def state_at(
             raise ValueError(
                 f"no snapshot in {data_dir} and no params to start fresh from"
             )
-        maintainer = DynStrClu(
-            params, connectivity_backend=connectivity_backend, scope=scope
-        )
+        maintainer = DynStrClu(params, scope=scope)
     else:
-        maintainer = restore_dynstrclu(
-            load_snapshot(anchor),
-            connectivity_backend=connectivity_backend,
-            scope=scope,
-        )
+        maintainer = restore_dynstrclu(load_snapshot(anchor), scope=scope)
     return maintainer, replay_wal(maintainer, data_dir, position)
 
 

@@ -366,7 +366,6 @@ class ClusteringEngine:
         params: Optional[StrCluParams] = None,
         config: Optional[EngineConfig] = None,
         data_dir: Optional[Union[str, Path]] = None,
-        connectivity_backend: str = "hdt",
         metrics: Optional[ServiceMetrics] = None,
         backend: str = "dynstrclu",
         label_scope: Optional[Callable[[Vertex, Vertex], bool]] = None,
@@ -375,7 +374,6 @@ class ClusteringEngine:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.backend = backend.strip().lower()
-        self.connectivity_backend = connectivity_backend
         self.label_scope = label_scope
         self._queue: "queue.Queue[object]" = queue.Queue(
             maxsize=self.config.queue_capacity
@@ -414,7 +412,6 @@ class ClusteringEngine:
             self.maintainer, self.recovered_updates = state_at(
                 self.data_dir,
                 params=params,
-                connectivity_backend=connectivity_backend,
                 scope=label_scope,
             )
             if params is not None and self.maintainer.params != params:
@@ -429,10 +426,7 @@ class ClusteringEngine:
             if params is None:
                 raise ValueError("either params or a data_dir with a snapshot is required")
             self.maintainer: Clusterer = make_clusterer(
-                self.backend,
-                params,
-                connectivity_backend=connectivity_backend,
-                scope=label_scope,
+                self.backend, params, scope=label_scope
             )
             self.recovered_updates = 0
 

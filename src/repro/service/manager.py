@@ -108,8 +108,6 @@ class TenantConfig:
     durable:
         When true (and the manager has a ``data_root``) the tenant gets a
         WAL + snapshot directory; requires a snapshot-capable backend.
-    connectivity_backend:
-        Connectivity structure for backends that take one.
     replica_of:
         When set (``host:port`` of the primary server), the tenant is a
         warm **standby** replica of the same-named tenant there: its
@@ -124,7 +122,6 @@ class TenantConfig:
     backend: str = "dynstrclu"
     engine: EngineConfig = field(default_factory=EngineConfig)
     durable: bool = True
-    connectivity_backend: str = "hdt"
     replica_of: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -368,7 +365,6 @@ class EngineManager:
                     tenant.name,
                     data_dir=data_dir,
                     config=tenant.engine,
-                    connectivity_backend=tenant.connectivity_backend,
                 ).start()
                 # record the discovered shape (the primary's, not ours)
                 tenant = replace(
@@ -379,7 +375,6 @@ class EngineManager:
                     tenant.params,
                     config=tenant.engine,
                     data_dir=data_dir,
-                    connectivity_backend=tenant.connectivity_backend,
                     backend=tenant.backend,
                 ).start()
         except BaseException:

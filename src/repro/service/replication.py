@@ -295,14 +295,12 @@ class StandbyEngine:
         tenant: str,
         data_dir: Union[str, Path],
         config: Optional[EngineConfig] = None,
-        connectivity_backend: str = "hdt",
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         client_factory: Optional[Callable[[], object]] = None,
     ) -> None:
         self.replica_of = replica_of
         self.tenant = tenant
         self.data_dir = Path(data_dir)
-        self.connectivity_backend = connectivity_backend
         self.poll_interval = poll_interval
         self._lock = threading.RLock()
         self._closed = False  # guarded-by: _lock
@@ -455,7 +453,6 @@ class StandbyEngine:
             params=None,
             config=self.config,
             data_dir=self.data_dir,
-            connectivity_backend=self.connectivity_backend,
             backend=self.backend,
             reconcile=False,
         )

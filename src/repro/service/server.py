@@ -4,27 +4,10 @@ The server is deliberately minimal — ``asyncio.start_server`` plus a small
 HTTP/1.1 request parser — because the container targets environments with
 no third-party web stack.  Since v1 it hosts an
 :class:`~repro.service.manager.EngineManager` (many named engines) and
-routes by tenant:
-
-========  ====================================  ============================
-Method    Path                                  Semantics
-========  ====================================  ============================
-GET       ``/v1/healthz``                       Liveness + tenant aggregate
-GET       ``/v1/tenants``                       List tenants
-POST      ``/v1/tenants``                       Create a tenant
-DELETE    ``/v1/tenants/{t}``                   Delete a tenant
-POST      ``/v1/tenants/{t}/updates``           Enqueue edge updates
-                                                (429 + ``Retry-After`` under
-                                                backpressure)
-POST      ``/v1/tenants/{t}/group-by``          Snapshot-consistent group-by
-GET       ``/v1/tenants/{t}/cluster/{v}``       Clusters of one vertex
-GET       ``/v1/tenants/{t}/stats``             View statistics + metrics
-GET       ``/metrics``                          Prometheus text exposition
-GET       ``/v1/debug/traces``                  Recent spans (``?trace_id=``)
-GET       ``/v1/debug/decisions``               Fleet decision-log events
-GET       ``/v1/debug/profile``                 Sampling profiler (collapsed
-                                                stacks; ``?seconds=N``)
-========  ====================================  ============================
+routes by tenant.  Every route is declared once, in the module-level
+:data:`ROUTES` table (method, path shape, handler, accepted query names
+and when the handler leaves the event loop); ``docs/API.md`` documents
+each route.
 
 Every request is traced: the server mints a ``trace_id`` (or adopts a
 client-supplied ``X-Repro-Trace`` header, which additionally samples the
@@ -59,7 +42,7 @@ import json
 import math
 import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 from urllib.parse import parse_qs, unquote
 
@@ -122,16 +105,6 @@ _STATUS_TEXT = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-#: Allowed query parameters per v1 read route — anything else is a 400.
-#: (Silently ignoring a mistyped ``?asof=`` would serve the *latest* view
-#: while the caller believes they asked for history.)
-_AS_OF_QUERY_PARAMS = frozenset({"as_of"})
-_WAL_QUERY_PARAMS = frozenset({"from", "shard", "max", "ack"})
-_SNAPSHOT_QUERY_PARAMS = frozenset({"shard"})
-_DEBUG_TRACES_PARAMS = frozenset({"trace_id", "limit"})
-_DEBUG_DECISIONS_PARAMS = frozenset({"limit"})
-_DEBUG_PROFILE_PARAMS = frozenset({"seconds", "interval"})
 
 #: Accepted shape of a client-supplied ``X-Repro-Trace`` header value.
 #: Anything else is ignored (treated as absent) rather than echoed back.
@@ -318,29 +291,23 @@ class ClusteringServiceServer:
                 # hot path (see repro.service.obs.SpanContext)
                 trace_id = supplied if supplied is not None else new_trace_id()
                 sampled = supplied is not None
-                if self._is_blocking_route(method, path, query):
-                    # tenant lifecycle can block for seconds (standby
-                    # seeding over HTTP, fence attempts against a dead
-                    # primary, final checkpoints): run it in a worker
-                    # thread so every other tenant's requests keep flowing
+                params = _parse_query(query) if query else {}
+                routed = _match(method, path, params, body)
+                blocks = routed.route.blocks
+                if blocks == ALWAYS or (blocks == AS_OF and "as_of" in params):
+                    # run it in a worker thread so every other tenant's
+                    # requests keep flowing (see ROUTES)
                     status, document, extra_headers = (
                         await asyncio.get_running_loop().run_in_executor(
-                            None,
-                            self._dispatch,
-                            method,
-                            path,
-                            body,
-                            query,
-                            trace_id,
-                            sampled,
+                            None, self._dispatch, routed, trace_id, sampled
                         )
                     )
                 else:
-                    # repro: allow[REPRO401] fast path: _is_blocking_route
-                    # just ruled this a non-blocking read; the executor hop
+                    # repro: allow[REPRO401] fast path: the route table
+                    # rules this route non-blocking; the executor hop
                     # would cost more than the dispatch itself
                     status, document, extra_headers = self._dispatch(
-                        method, path, body, query, trace_id, sampled
+                        routed, trace_id, sampled
                     )
                 if isinstance(document, RawBody):
                     payload = document.payload
@@ -371,59 +338,10 @@ class ClusteringServiceServer:
                 pass
 
     # ------------------------------------------------------------------
-    # routing
+    # routing (the routes themselves are the module-level ROUTES table)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _is_blocking_route(method: str, path: str, query: str = "") -> bool:
-        """Routes whose handlers may block for seconds, not microseconds.
-
-        Tenant creation can crash-recover a large snapshot+WAL or seed a
-        standby over HTTP from its primary (one snapshot download per
-        shard), deletion cuts a final checkpoint, promotion retries a
-        fence against a possibly-dead primary with full network timeouts,
-        and the WAL/snapshot serving routes read segment/checkpoint files
-        from disk on every replica poll — none of which may stall the
-        event loop every tenant shares.  Likewise any tenant read carrying
-        ``as_of``: a cold historical query restores a snapshot anchor and
-        replays retained WAL from disk.
-        """
-        segments = [segment for segment in path.split("/") if segment]
-        if segments == ["metrics"] or segments == ["v1", "debug", "profile"]:
-            # /metrics walks every tenant's engines (locks, WAL horizons);
-            # the profiler deliberately blocks for the sampled window
-            return True
-        if (
-            segments[:2] == ["v1", "tenants"]
-            and "as_of" in _parse_query(query)
-        ):
-            return True
-        if method == "POST":
-            # fence belongs here too: it fsyncs a manifest per shard, and
-            # reparent probes the new primary with full network timeouts
-            return segments == ["v1", "tenants"] or (
-                len(segments) == 4
-                and segments[:2] == ["v1", "tenants"]
-                and segments[3] in ("promote", "fence", "reparent")
-            )
-        if method == "DELETE":
-            return len(segments) == 3 and segments[:2] == ["v1", "tenants"]
-        return (
-            method == "GET"
-            and len(segments) == 4
-            and segments[:2] == ["v1", "tenants"]
-            and segments[3] in ("wal", "snapshot")
-        )
-
-    def _dispatch(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        query: str = "",
-        trace_id: Optional[str] = None,
-        sampled: bool = False,
-    ) -> Response:
-        """Route one request under its ``http.request`` span.
+    def _dispatch(self, request: _Request, trace_id: str, sampled: bool) -> Response:
+        """Run one matched request under its ``http.request`` span.
 
         The span is opened *here* — in whichever thread actually runs the
         handler — because the active-span contextvar must be visible to
@@ -432,33 +350,27 @@ class ClusteringServiceServer:
         tagged for end-to-end tracing (see
         :func:`repro.service.obs.tag_update`).
         """
-        if trace_id is None:
-            trace_id = new_trace_id()
         with get_tracer().span(
             "http.request",
             trace_id=trace_id,
             sampled=sampled,
-            method=method,
-            path=path,
+            method=request.method,
+            path=request.path,
         ):
-            return self._dispatch_routes(method, path, body, query)
+            return self._dispatch_routes(request)
 
-    def _dispatch_routes(
-        self, method: str, path: str, body: bytes, query: str = ""
-    ) -> Response:
+    def _dispatch_routes(self, request: _Request) -> Response:
+        route = request.route
         try:
-            if path == "/metrics":
-                if method != "GET":
-                    return self._method_not_allowed(method, path)
-                text = render_metrics(self.manager, version=repro.__version__)
-                raw = RawBody(
-                    text.encode("utf-8"),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-                return 200, raw, {}
-            if path.startswith("/v1/"):
-                return self._dispatch_v1(method, path, body, query)
-            return 404, error_envelope("not_found", f"no route for {path}"), {}
+            # an unknown tenant answers 404 before its route's tail counts
+            engine = (
+                self.manager.get(request.tenant)
+                if route.path.startswith(_TENANT_TAIL)
+                else None
+            )
+            if route.params is not None:
+                _check_query(request.params, route.params, request.path)
+            return route.handler(self, request, engine)
         except BadRequest as exc:
             return 400, error_envelope("bad_request", str(exc)), {}
         except UnknownTenantError as exc:
@@ -522,139 +434,77 @@ class ClusteringServiceServer:
                 {},
             )
 
-    def _dispatch_v1(
-        self, method: str, path: str, body: bytes, query: str = ""
-    ) -> Response:
-        segments = path[len("/v1/"):].split("/")
-        if segments == ["healthz"]:
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            return 200, self._healthz_v1(), {}
-        if segments[0] == "debug":
-            return self._dispatch_debug(method, segments[1:], query, path)
-        if segments == ["tenants"]:
-            if method == "GET":
-                return 200, {"tenants": self.manager.list_tenants()}, {}
-            if method == "POST":
-                return self._create_tenant(_parse_json(body))
-            return self._method_not_allowed(method, path)
-        if segments[0] == "tenants" and len(segments) >= 2:
-            tenant = segments[1]
-            rest = segments[2:]
-            if not rest:
-                if method == "GET":
-                    return 200, self.manager.describe(tenant), {}
-                if method == "DELETE":
-                    self.manager.delete(tenant)
-                    return 200, {"deleted": tenant}, {}
-                return self._method_not_allowed(method, path)
-            engine = self.manager.get(tenant)
-            if rest == ["updates"] and method == "POST":
-                return self._post_updates_v1(engine, _parse_json(body))
-            if rest == ["group-by"] and method == "POST":
-                params = _checked_query(query, _AS_OF_QUERY_PARAMS, path)
-                view, as_of = self._resolve_view(tenant, engine, params)
-                return 200, self._group_by(engine, _parse_json(body), view, as_of), {}
-            if rest[0] == "cluster" and len(rest) >= 2 and method == "GET":
-                params = _checked_query(query, _AS_OF_QUERY_PARAMS, path)
-                view, as_of = self._resolve_view(tenant, engine, params)
-                # rejoin (a string vertex id may legally contain '/'), then
-                # percent-decode: the v1 segment is defined as URL-encoded
-                raw = unquote("/".join(rest[1:]))
-                return 200, self._cluster_of(engine, raw, view=view, as_of=as_of), {}
-            if rest == ["stats"] and method == "GET":
-                params = _checked_query(query, _AS_OF_QUERY_PARAMS, path)
-                return 200, self._stats_v1(tenant, engine, params), {}
-            if rest == ["wal"] and method == "GET":
-                return self._get_wal(
-                    tenant, engine, _checked_query(query, _WAL_QUERY_PARAMS, path)
-                )
-            if rest == ["snapshot"] and method == "GET":
-                params = _checked_query(query, _SNAPSHOT_QUERY_PARAMS, path)
-                return 200, self._get_snapshot(tenant, engine, params), {}
-            if rest == ["fence"] and method == "POST":
-                return self._post_fence(tenant, engine, _parse_json(body))
-            if rest == ["promote"] and method == "POST":
-                return 200, {"tenant": tenant, **self.manager.promote(tenant)}, {}
-            if rest == ["topology"] and method == "GET":
-                _checked_query(query, frozenset(), path)
-                return 200, self.manager.topology(tenant), {}
-            if rest == ["reparent"] and method == "POST":
-                return self._post_reparent(tenant, _parse_json(body))
-            if rest in (
-                ["updates"],
-                ["group-by"],
-                ["stats"],
-                ["wal"],
-                ["snapshot"],
-                ["fence"],
-                ["promote"],
-                ["topology"],
-                ["reparent"],
-            ) or (rest and rest[0] == "cluster"):
-                return self._method_not_allowed(method, path)
-        return 404, error_envelope("not_found", f"no route for {path}"), {}
+    def _not_found(self, request: _Request, engine: _TenantEngine) -> Response:
+        return 404, error_envelope("not_found", f"no route for {request.path}"), {}
 
-    def _method_not_allowed(self, method: str, path: str) -> Response:
+    def _method_not_allowed(self, request: _Request, engine: _TenantEngine) -> Response:
         return (
             405,
-            error_envelope("method_not_allowed", f"method {method} not allowed for {path}"),
+            error_envelope(
+                "method_not_allowed",
+                f"method {request.method} not allowed for {request.path}",
+            ),
             {},
         )
 
     # ------------------------------------------------------------------
-    # debug routes (observability surface; see docs/OBSERVABILITY.md)
+    # service-level and debug handlers (see docs/OBSERVABILITY.md)
     # ------------------------------------------------------------------
-    def _dispatch_debug(
-        self, method: str, rest: List[str], query: str, path: str
-    ) -> Response:
-        if rest == ["traces"]:
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            params = _checked_query(query, _DEBUG_TRACES_PARAMS, path)
-            trace_id = params.get("trace_id")
-            limit = _query_int(params, "limit", 1000)
-            if limit < 0:
-                raise BadRequest(f"limit must be >= 0, got {limit}")
-            tracer = get_tracer()
-            spans = tracer.spans(trace_id=trace_id, limit=limit)
-            document: Dict[str, object] = {
-                "spans": spans,
-                "count": len(spans),
-                "capacity": tracer.capacity,
-                "dropped": tracer.dropped,
-            }
-            if trace_id is not None:
-                document["trace_id"] = trace_id
-            return 200, document, {}
-        if rest == ["decisions"]:
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            params = _checked_query(query, _DEBUG_DECISIONS_PARAMS, path)
-            limit = _query_int(params, "limit", 256)
-            if limit < 0:
-                raise BadRequest(f"limit must be >= 0, got {limit}")
-            events = decision_events(limit=limit)
-            return 200, {"decisions": events, "count": len(events)}, {}
-        if rest == ["profile"]:
-            if method != "GET":
-                return self._method_not_allowed(method, path)
-            params = _checked_query(query, _DEBUG_PROFILE_PARAMS, path)
-            seconds = _query_float(params, "seconds", 1.0)
-            interval = _query_float(params, "interval", 0.01)
-            return 200, sample_stacks(seconds=seconds, interval=interval), {}
-        return 404, error_envelope("not_found", f"no route for {path}"), {}
+    def _get_metrics(self, request: _Request, engine: _TenantEngine) -> Response:
+        text = render_metrics(self.manager, version=repro.__version__)
+        raw = RawBody(text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8")
+        return 200, raw, {}
 
-    # ------------------------------------------------------------------
-    # handlers
-    # ------------------------------------------------------------------
-    def _healthz_v1(self) -> Dict[str, object]:
-        return {
+    def _get_healthz(self, request: _Request, engine: _TenantEngine) -> Response:
+        document = {
             "status": "ok",
             "version": repro.__version__,
             "api": "v1",
             **self.manager.aggregate(),
         }
+        return 200, document, {}
+
+    def _get_traces(self, request: _Request, engine: _TenantEngine) -> Response:
+        trace_id = request.params.get("trace_id")
+        limit = _query_int(request.params, "limit", 1000)
+        if limit < 0:
+            raise BadRequest(f"limit must be >= 0, got {limit}")
+        tracer = get_tracer()
+        spans = tracer.spans(trace_id=trace_id, limit=limit)
+        document: Dict[str, object] = {
+            "spans": spans,
+            "count": len(spans),
+            "capacity": tracer.capacity,
+            "dropped": tracer.dropped,
+        }
+        if trace_id is not None:
+            document["trace_id"] = trace_id
+        return 200, document, {}
+
+    def _get_decisions(self, request: _Request, engine: _TenantEngine) -> Response:
+        limit = _query_int(request.params, "limit", 256)
+        if limit < 0:
+            raise BadRequest(f"limit must be >= 0, got {limit}")
+        events = decision_events(limit=limit)
+        return 200, {"decisions": events, "count": len(events)}, {}
+
+    def _get_profile(self, request: _Request, engine: _TenantEngine) -> Response:
+        seconds = _query_float(request.params, "seconds", 1.0)
+        interval = _query_float(request.params, "interval", 0.01)
+        return 200, sample_stacks(seconds=seconds, interval=interval), {}
+
+    # ------------------------------------------------------------------
+    # tenant admin handlers
+    # ------------------------------------------------------------------
+    def _list_tenants(self, request: _Request, engine: _TenantEngine) -> Response:
+        return 200, {"tenants": self.manager.list_tenants()}, {}
+
+    def _describe_tenant(self, request: _Request, engine: _TenantEngine) -> Response:
+        return 200, self.manager.describe(request.tenant), {}
+
+    def _delete_tenant(self, request: _Request, engine: _TenantEngine) -> Response:
+        self.manager.delete(request.tenant)
+        return 200, {"deleted": request.tenant}, {}
 
     def _points_at_self(self, replica_of: str) -> bool:
         """Best-effort check that ``replica_of`` names this very server.
@@ -682,7 +532,8 @@ class ClusteringServiceServer:
             self.host in loopback or self.host in ("0.0.0.0", "::")
         )
 
-    def _create_tenant(self, payload: object) -> Response:
+    def _create_tenant(self, request: _Request, engine: _TenantEngine) -> Response:
+        payload = _parse_json(request.body)
         if not isinstance(payload, dict) or "tenant" not in payload:
             raise BadRequest('body must be {"tenant": name, ...}')
         name = payload["tenant"]
@@ -764,8 +615,11 @@ class ClusteringServiceServer:
             raise
         return 201, self.manager.describe(name), {}
 
+    # ------------------------------------------------------------------
+    # per-tenant handlers
+    # ------------------------------------------------------------------
     def _resolve_view(
-        self, tenant: str, engine: ClusteringEngine, params: Dict[str, str]
+        self, request: _Request, engine: ClusteringEngine
     ) -> Tuple[Optional[object], Optional[object]]:
         """Resolve the ``as_of`` query parameter to the view to serve.
 
@@ -776,7 +630,7 @@ class ClusteringServiceServer:
         tuple.  Malformed positions are a 400; pruned history propagates
         as :class:`AsOfUnavailableError` (410).
         """
-        raw = params.get("as_of")
+        raw = request.params.get("as_of")
         if raw is None:
             return None, None
         if raw.strip().lower() == "latest":
@@ -788,7 +642,7 @@ class ClusteringServiceServer:
                 "as_of must be 'latest', an applied position, or a comma-"
                 f"separated per-shard position tuple, got {raw!r}"
             ) from None
-        store = self.manager.timetravel(tenant)
+        store = self.manager.timetravel(request.tenant)
         try:
             view = store.view_at(positions)
         except AsOfUnavailableError:
@@ -797,13 +651,11 @@ class ClusteringServiceServer:
             raise BadRequest(str(exc)) from exc
         return view, list(positions)
 
-    def _cluster_of(
-        self,
-        engine: ClusteringEngine,
-        raw: str,
-        view: Optional[object] = None,
-        as_of: Optional[object] = None,
-    ) -> Dict[str, object]:
+    def _get_cluster(self, request: _Request, engine: _TenantEngine) -> Response:
+        view, as_of = self._resolve_view(request, engine)
+        # the vertex segments were rejoined (a string vertex id may legally
+        # contain '/'); percent-decode: the v1 segment is URL-encoded
+        raw = unquote(request.vertex)
         if not raw:
             raise BadRequest("missing vertex identifier")
         try:
@@ -822,12 +674,10 @@ class ClusteringServiceServer:
         }
         if as_of is not None:
             document["as_of"] = as_of
-        return document
+        return 200, document, {}
 
-    def _post_updates_v1(
-        self, engine: ClusteringEngine, payload: object
-    ) -> Response:
-        updates = decode_updates(payload)
+    def _post_updates(self, request: _Request, engine: _TenantEngine) -> Response:
+        updates = decode_updates(_parse_json(request.body))
         accepted = engine.submit_many(updates, block=False)
         if accepted < len(updates):
             signal = engine.backpressure_signal()
@@ -843,12 +693,7 @@ class ClusteringServiceServer:
             return 429, document, headers
         return 200, {"accepted": accepted, "submitted": len(updates)}, {}
 
-    def _stats_v1(
-        self,
-        tenant: str,
-        engine: ClusteringEngine,
-        params: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, object]:
+    def _get_stats(self, request: _Request, engine: _TenantEngine) -> Response:
         """Per-tenant stats plus the ``replication``/``wal``/``timetravel`` blocks.
 
         Standby tenants bring their own replication block (role, lag,
@@ -860,12 +705,13 @@ class ClusteringServiceServer:
         view-statistics portion describes that historical view instead of
         the live one.
         """
-        view, as_of = self._resolve_view(tenant, engine, params or {})
+        tenant = request.tenant
+        view, as_of = self._resolve_view(request, engine)
         if view is not None and as_of != "latest":
             # historical: the view's own statistics at that position
             document = {"tenant": tenant, "as_of": as_of, **view.stats()}
             document["timetravel"] = self.manager.timetravel(tenant).stats()
-            return document
+            return 200, document, {}
         document = {"tenant": tenant, **engine.stats()}
         if as_of is not None:
             document["as_of"] = as_of
@@ -879,10 +725,10 @@ class ClusteringServiceServer:
                 "fenced": engine.fenced,
                 "acked": {str(shard): position for shard, position in sorted(acked.items())},
             }
-        return document
+        return 200, document, {}
 
     def _wal_target(
-        self, tenant: str, engine: ClusteringEngine, query: Dict[str, str]
+        self, request: _Request, engine: ClusteringEngine
     ) -> Tuple[int, ClusteringEngine, int]:
         """Resolve the ``shard`` query param to the engine serving that WAL.
 
@@ -894,10 +740,11 @@ class ClusteringServiceServer:
         anywhere above propagates down the tree and fences stale leaves
         exactly as if they shipped from the root.
         """
+        tenant = request.tenant
         served_epoch: Optional[int] = None
         if isinstance(engine, StandbyEngine) and not engine.promoted:
             served_epoch = max(engine.epoch, engine.seen_epoch)
-        shard = _query_int(query, "shard", 0)
+        shard = _query_int(request.params, "shard", 0)
         if not 0 <= shard < engine.num_shards:
             raise BadRequest(
                 f"tenant {tenant!r} is unsharded; shard must be 0"
@@ -913,10 +760,9 @@ class ClusteringServiceServer:
             served_epoch = target.epoch
         return shard, target, served_epoch
 
-    def _get_wal(
-        self, tenant: str, engine: ClusteringEngine, query: Dict[str, str]
-    ) -> Response:
-        shard, target, served_epoch = self._wal_target(tenant, engine, query)
+    def _get_wal(self, request: _Request, engine: _TenantEngine) -> Response:
+        tenant, query = request.tenant, request.params
+        shard, target, served_epoch = self._wal_target(request, engine)
         start = _query_int(query, "from", 0)
         if start < 0:
             raise BadRequest(f"from must be >= 0, got {start}")
@@ -948,22 +794,20 @@ class ClusteringServiceServer:
             }
         return 200, document, {}
 
-    def _get_snapshot(
-        self, tenant: str, engine: ClusteringEngine, query: Dict[str, str]
-    ) -> Dict[str, object]:
-        shard, target, served_epoch = self._wal_target(tenant, engine, query)
+    def _get_snapshot(self, request: _Request, engine: _TenantEngine) -> Response:
+        shard, target, served_epoch = self._wal_target(request, engine)
         snapshot = target.read_snapshot_document()
-        return {
-            "tenant": tenant,
+        document = {
+            "tenant": request.tenant,
             "shard": shard,
             "position": int(snapshot.get("updates_processed", 0)),
             "epoch": served_epoch,
             "snapshot": snapshot,
         }
+        return 200, document, {}
 
-    def _post_fence(
-        self, tenant: str, engine: ClusteringEngine, payload: object
-    ) -> Response:
+    def _post_fence(self, request: _Request, engine: _TenantEngine) -> Response:
+        payload = _parse_json(request.body)
         if not isinstance(payload, dict) or "epoch" not in payload:
             raise BadRequest('body must be {"epoch": N}')
         epoch = payload["epoch"]
@@ -973,9 +817,17 @@ class ClusteringServiceServer:
             engine.fence(epoch)
         except ValueError as exc:
             return 409, error_envelope("stale_epoch", str(exc)), {}
-        return 200, {"tenant": tenant, "epoch": epoch, "fenced": True}, {}
+        return 200, {"tenant": request.tenant, "epoch": epoch, "fenced": True}, {}
 
-    def _post_reparent(self, tenant: str, payload: object) -> Response:
+    def _post_promote(self, request: _Request, engine: _TenantEngine) -> Response:
+        tenant = request.tenant
+        return 200, {"tenant": tenant, **self.manager.promote(tenant)}, {}
+
+    def _get_topology(self, request: _Request, engine: _TenantEngine) -> Response:
+        return 200, self.manager.topology(request.tenant), {}
+
+    def _post_reparent(self, request: _Request, engine: _TenantEngine) -> Response:
+        payload = _parse_json(request.body)
         if not isinstance(payload, dict) or "replica_of" not in payload:
             raise BadRequest('body must be {"replica_of": "host:port"}')
         replica_of = payload["replica_of"]
@@ -987,7 +839,7 @@ class ClusteringServiceServer:
                 "a standby cannot replicate from its own server"
             )
         try:
-            document = self.manager.reparent(tenant, replica_of)
+            document = self.manager.reparent(request.tenant, replica_of)
         except (OSError, ReplicationError) as exc:
             if isinstance(exc, ReplicationError) and not isinstance(
                 exc.__cause__, OSError
@@ -1006,13 +858,9 @@ class ClusteringServiceServer:
             )
         return 200, document, {}
 
-    def _group_by(
-        self,
-        engine: ClusteringEngine,
-        payload: object,
-        view: Optional[object] = None,
-        as_of: Optional[object] = None,
-    ) -> Dict[str, object]:
+    def _post_group_by(self, request: _Request, engine: _TenantEngine) -> Response:
+        view, as_of = self._resolve_view(request, engine)
+        payload = _parse_json(request.body)
         if not isinstance(payload, dict) or "vertices" not in payload:
             raise BadRequest('body must be {"vertices": [...]}')
         vertices = payload["vertices"]
@@ -1036,7 +884,118 @@ class ClusteringServiceServer:
         }
         if as_of is not None:
             document["as_of"] = as_of
-        return document
+        return 200, document, {}
+
+
+# ----------------------------------------------------------------------
+# the route table
+# ----------------------------------------------------------------------
+#: When a route's handler leaves the event loop for the executor: a
+#: handler that may block for seconds must not stall the loop every
+#: tenant shares.  ``AS_OF`` routes block only when the request carries
+#: ``as_of``: a cold historical read restores a snapshot anchor and
+#: replays retained WAL from disk.
+NEVER, ALWAYS, AS_OF = "never", "always", "as_of"
+
+
+class Route(NamedTuple):
+    """One served (method, path shape).
+
+    ``params`` is the set of accepted query names (anything else is a 400
+    naming the set, since a silently ignored ``?asof=`` would serve the
+    *latest* view to a caller who asked for history), or None when the
+    route does not check its query.
+    """
+
+    method: str
+    path: str
+    handler: Callable[[ClusteringServiceServer, _Request, _TenantEngine], Response]
+    params: Optional[FrozenSet[str]]
+    blocks: str
+
+
+_S = ClusteringServiceServer
+
+#: Every route, declared once; ``docs/API.md`` documents each.  Blocking
+#: routes: ``/metrics`` walks every tenant's engines, the profiler sleeps
+#: through its window, tenant creation may crash-recover or seed a standby
+#: over HTTP, deletion cuts a final checkpoint, fence fsyncs a manifest per
+#: shard, promote and reparent reach other servers with full network
+#: timeouts, and the WAL and snapshot routes read files on every replica
+#: poll.
+ROUTES: Tuple[Route, ...] = (
+    Route("GET", "/metrics", _S._get_metrics, None, ALWAYS),
+    Route("GET", "/v1/healthz", _S._get_healthz, None, NEVER),
+    Route("GET", "/v1/debug/traces", _S._get_traces, frozenset({"trace_id", "limit"}), NEVER),
+    Route("GET", "/v1/debug/decisions", _S._get_decisions, frozenset({"limit"}), NEVER),
+    Route("GET", "/v1/debug/profile", _S._get_profile, frozenset({"seconds", "interval"}), ALWAYS),
+    Route("GET", "/v1/tenants", _S._list_tenants, None, NEVER),
+    Route("POST", "/v1/tenants", _S._create_tenant, None, ALWAYS),
+    Route("GET", "/v1/tenants/{tenant}", _S._describe_tenant, None, NEVER),
+    Route("DELETE", "/v1/tenants/{tenant}", _S._delete_tenant, None, ALWAYS),
+    Route("POST", "/v1/tenants/{tenant}/updates", _S._post_updates, None, NEVER),
+    Route("POST", "/v1/tenants/{tenant}/group-by", _S._post_group_by, frozenset({"as_of"}), AS_OF),
+    Route("GET", "/v1/tenants/{tenant}/cluster/{v}", _S._get_cluster, frozenset({"as_of"}), AS_OF),
+    Route("GET", "/v1/tenants/{tenant}/stats", _S._get_stats, frozenset({"as_of"}), AS_OF),
+    Route("GET", "/v1/tenants/{tenant}/wal", _S._get_wal,
+          frozenset({"from", "shard", "max", "ack"}), ALWAYS),
+    Route("GET", "/v1/tenants/{tenant}/snapshot", _S._get_snapshot, frozenset({"shard"}), ALWAYS),
+    Route("POST", "/v1/tenants/{tenant}/fence", _S._post_fence, None, ALWAYS),
+    Route("POST", "/v1/tenants/{tenant}/promote", _S._post_promote, None, ALWAYS),
+    Route("GET", "/v1/tenants/{tenant}/topology", _S._get_topology, frozenset(), NEVER),
+    Route("POST", "/v1/tenants/{tenant}/reparent", _S._post_reparent, None, ALWAYS),
+)
+
+_ROUTE_INDEX = {(route.method, route.path): route for route in ROUTES}
+#: Paths any method of which is a route (another method is a 405); a
+#: ``{v}`` route's path without its vertex counts too.
+_ROUTE_PATHS = frozenset(route.path for route in ROUTES) | frozenset(
+    route.path.removesuffix("/{v}") for route in ROUTES
+)
+#: The path prefix of the routes that need their tenant's engine.
+_TENANT_TAIL = "/v1/tenants/{tenant}/"
+
+
+#: A handler's ``engine``: the tenant's engine on a route under
+#: ``/v1/tenants/{tenant}/``, None on any other.
+_TenantEngine = Optional[ClusteringEngine]
+
+
+class _Request(NamedTuple):
+    """One request with the route it matched, the tenant and raw vertex."""
+
+    route: Route
+    method: str
+    path: str
+    tenant: Optional[str]
+    vertex: str
+    params: Dict[str, str]
+    body: bytes
+
+
+def _match(method: str, path: str, params: Dict[str, str], body: bytes) -> _Request:
+    """Find the route of ``method path``: a pure lookup that cannot raise.
+
+    A path with no entry for ``method`` gets a 405 route when another
+    method serves it, a 404 route otherwise.
+    """
+    tenant: Optional[str] = None
+    vertex = ""
+    shape = path
+    if path.startswith("/v1/tenants/"):
+        tenant, slash, tail = path[len("/v1/tenants/"):].partition("/")
+        name, slash_after, rest = tail.partition("/")
+        if not slash:
+            shape = "/v1/tenants/{tenant}"
+        elif name == "cluster" and slash_after:
+            shape, vertex = "/v1/tenants/{tenant}/cluster/{v}", rest
+        else:
+            shape = _TENANT_TAIL + tail
+    route = _ROUTE_INDEX.get((method, shape))
+    if route is None:
+        handler = _S._method_not_allowed if shape in _ROUTE_PATHS else _S._not_found
+        route = Route(method, shape, handler, None, NEVER)
+    return _Request(route, method, path, tenant, vertex, params, body)
 
 
 def _decode_params(payload: object, defaults) -> "repro.StrCluParams":
@@ -1132,25 +1091,16 @@ def _parse_json(body: bytes) -> object:
 
 
 def _parse_query(query: str) -> Dict[str, str]:
-    """Query string → {name: last value} (the replication routes' params)."""
+    """Query string → {name: last value}."""
     return {
         name: values[-1]
         for name, values in parse_qs(query, keep_blank_values=True).items()
     }
 
 
-def _checked_query(
-    query: str, allowed: frozenset, path: str
-) -> Dict[str, str]:
-    """Parse a v1 read route's query string, rejecting unknown parameters.
-
-    A mistyped parameter (``?asof=120``) silently ignored would serve the
-    *latest* view while the caller believes they asked for history — on
-    these routes that is a correctness hazard, so unknown names are a
-    structured 400 listing what the route accepts.
-    """
-    params = _parse_query(query)
-    unknown = set(params) - allowed
+def _check_query(params: Dict[str, str], allowed: FrozenSet[str], path: str) -> None:
+    """Reject query names a route does not accept, with a 400 naming the set."""
+    unknown = params.keys() - allowed
     if unknown:
         accepted = (
             f" (accepted: {', '.join(sorted(allowed))})" if allowed else ""
@@ -1159,7 +1109,6 @@ def _checked_query(
             f"unknown query parameter(s) for {path}: "
             f"{', '.join(sorted(unknown))}{accepted}"
         )
-    return params
 
 
 def _query_int(query: Dict[str, str], name: str, default: int) -> int:

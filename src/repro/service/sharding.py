@@ -558,7 +558,6 @@ class ShardedEngine:
         params: Optional[StrCluParams] = None,
         config: Optional[EngineConfig] = None,
         data_dir: Optional[Union[str, Path]] = None,
-        connectivity_backend: str = "hdt",
         metrics: Optional[ServiceMetrics] = None,
         backend: str = "dynstrclu",
         reconcile: bool = True,
@@ -609,7 +608,6 @@ class ShardedEngine:
                         params=params,
                         config=inner_config,
                         data_dir=shard_dir,
-                        connectivity_backend=connectivity_backend,
                         backend=self.backend,
                     )
                 )
@@ -1171,7 +1169,6 @@ def make_engine(
     params: Optional[StrCluParams] = None,
     config: Optional[EngineConfig] = None,
     data_dir: Optional[Union[str, Path]] = None,
-    connectivity_backend: str = "hdt",
     metrics: Optional[ServiceMetrics] = None,
     backend: str = "dynstrclu",
     reconcile: bool = True,
@@ -1198,7 +1195,6 @@ def make_engine(
             params,
             config=config,
             data_dir=data_dir,
-            connectivity_backend=connectivity_backend,
             metrics=metrics,
             backend=backend,
         )
@@ -1206,7 +1202,6 @@ def make_engine(
         params,
         config=config,
         data_dir=data_dir,
-        connectivity_backend=connectivity_backend,
         metrics=metrics,
         backend=backend,
         reconcile=reconcile,

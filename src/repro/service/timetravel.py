@@ -233,7 +233,6 @@ class HistoricalViewStore:
                 maintainer, _ = state_at(
                     target.data_dir,
                     goal,
-                    connectivity_backend=target.connectivity_backend,
                     scope=target.label_scope,
                 )
         except (WalGapError, FileNotFoundError) as exc:

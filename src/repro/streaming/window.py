@@ -79,14 +79,11 @@ class SlidingWindowClustering:
         params: StrCluParams,
         window: float,
         counter: Optional[OpCounter] = None,
-        connectivity_backend: str = "hdt",
     ) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = float(window)
-        self.maintainer = DynStrClu(
-            params, counter=counter, connectivity_backend=connectivity_backend
-        )
+        self.maintainer = DynStrClu(params, counter=counter)
         self.now: float = float("-inf")
         #: last event time of every live edge
         self._last_seen: Dict[Edge, float] = {}
