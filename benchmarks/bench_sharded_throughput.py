@@ -1,9 +1,8 @@
 """Sharded ingest-throughput benchmark: 1 vs 2 vs 4 shards, equivalence-checked.
 
-Drives the service benchmark workload (a planted-partition graph hot start
-plus a generated insert/delete stream, as in
-``bench_service_throughput.py``) through :func:`make_engine` at shard
-counts 1, 2 and 4, at full speed, and reports ingest throughput per shape.
+Drives a planted-partition graph hot start plus a generated insert/delete
+stream through :func:`make_engine` at shard counts 1, 2 and 4, at full
+speed, and reports ingest throughput per shape.
 
 Why sharding scales even on one core: a shard labels only the edges it
 owns on both ends (the expensive similarity decisions), while cross-shard

@@ -7,13 +7,12 @@ directory on ``sys.path``, so each imports these with
 
 from __future__ import annotations
 
-import socket
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.bench.runner import SubprocessServer
 from repro.persistence import state_at
-from repro.service import ServiceClient
 from repro.service.sharding import SHARD_DIR_FORMAT, make_label_scope
 from repro.service.timetravel import capture_view
 
@@ -21,11 +20,9 @@ from repro.service.timetravel import capture_view
 #: one over four shards.
 SOLO, WIDE = "solo", "wide"
 
-
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+#: The clustering parameters every smoke's ``repro serve`` runs with, bar
+#: the time-travel smoke's lower epsilon.
+SERVE_FLAGS = ("--epsilon", "0.3", "--mu", "2", "--rho", "0")
 
 
 def fail(message: str) -> None:
@@ -33,11 +30,13 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def wait_healthy(port: int, timeout: float) -> None:
-    try:
-        ServiceClient.wait_until_healthy("127.0.0.1", port, timeout=timeout)
-    except RuntimeError as exc:
-        fail(str(exc))
+def wait_healthy(*servers: SubprocessServer, timeout: float) -> None:
+    """Block until every server answers; a boot timeout fails the smoke."""
+    for server in servers:
+        try:
+            server.wait_healthy(timeout)
+        except RuntimeError as exc:
+            fail(str(exc))
 
 
 def start_loadgen(port: int, updates: int) -> subprocess.Popen:

@@ -65,15 +65,16 @@ import threading
 import time
 from pathlib import Path
 
+from repro.bench.runner import SubprocessServer, stop_processes
 from repro.core.dynelm import Update
 from repro.service import ServiceClient, ServiceError
 
 from _smoke import (
+    SERVE_FLAGS,
     SOLO,
     WIDE,
     describe,
     fail,
-    free_port,
     groups_of,
     reference,
     start_loadgen,
@@ -82,27 +83,6 @@ from _smoke import (
 
 UPDATES = 12000
 MIN_REPLICATED = 300  # positions each tenant must reach before the kill
-
-
-def _serve(port: int, data_root: Path) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            str(port),
-            "--data-root",
-            str(data_root),
-            "--epsilon",
-            "0.3",
-            "--mu",
-            "2",
-            "--rho",
-            "0",
-        ],
-    )
 
 
 def _standby_positions(client: ServiceClient) -> list[int]:
@@ -116,13 +96,12 @@ def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="failover-smoke-"))
     primary_root = tmp / "primary"
     standby_root = tmp / "standby"
-    primary_port, standby_port = free_port(), free_port()
-    primary = _serve(primary_port, primary_root)
-    standby = _serve(standby_port, standby_root)
+    primary = SubprocessServer(SERVE_FLAGS, primary_root)
+    standby = SubprocessServer(SERVE_FLAGS, standby_root)
+    primary_port, standby_port = primary.port, standby.port
     loadgen: subprocess.Popen | None = None
     try:
-        wait_healthy(primary_port, timeout=20.0)
-        wait_healthy(standby_port, timeout=20.0)
+        wait_healthy(primary, standby, timeout=20.0)
         with ServiceClient("127.0.0.1", primary_port) as admin:
             solo_row = admin.create_tenant(SOLO, shards=1)
             wide_row = admin.create_tenant(WIDE, shards=4)
@@ -153,8 +132,8 @@ def main() -> int:
         else:
             fail("standby never replicated the minimum prefix")
         mid_stream = loadgen.poll() is None
-        primary.send_signal(signal.SIGKILL)
-        primary.wait(timeout=30)
+        primary.process.send_signal(signal.SIGKILL)
+        primary.process.wait(timeout=30)
         print(
             f"primary killed ({'mid-stream' if mid_stream else 'after stream end'}); "
             f"solo at {_standby_positions(solo_client)}, "
@@ -276,13 +255,7 @@ def main() -> int:
         print("failover smoke passed")
         return 0
     finally:
-        for proc in (loadgen, primary, standby):
-            if proc is not None and proc.poll() is None:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=15)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+        stop_processes(loadgen, primary.process, standby.process)
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -488,16 +461,17 @@ def auto_main(rounds: int, log_path: Path) -> int:
     if log_path.exists():
         log_path.unlink()
     tmp = Path(tempfile.mkdtemp(prefix="fleet-smoke-"))
-    count = 1 + 2 * rounds
-    ports = [free_port() for _ in range(count)]
+    fleet = [
+        SubprocessServer(SERVE_FLAGS, tmp / f"server-{index}")
+        for index in range(1 + 2 * rounds)
+    ]
+    servers = {server.port: server for server in fleet}
+    ports = list(servers)
     endpoints = [f"127.0.0.1:{port}" for port in ports]
-    roots = {port: tmp / f"server-{port}" for port in ports}
-    servers = {port: _serve(port, roots[port]) for port in ports}
     watchdog: subprocess.Popen | None = None
     writers: list[_Writer] = []
     try:
-        for port in ports:
-            wait_healthy(port, timeout=20.0)
+        wait_healthy(*fleet, timeout=20.0)
         head, *rest = ports
         with ServiceClient("127.0.0.1", head) as admin:
             admin.create_tenant(SOLO, shards=1)
@@ -536,9 +510,9 @@ def auto_main(rounds: int, log_path: Path) -> int:
 
         # --- transient-partition round: SIGSTOP, no promotion ----------
         started_before = len(_decisions(log_path, "promotion_started"))
-        servers[head].send_signal(signal.SIGSTOP)
+        servers[head].process.send_signal(signal.SIGSTOP)
         time.sleep(0.6)  # well under quorum * (interval + probe timeout)
-        servers[head].send_signal(signal.SIGCONT)
+        servers[head].process.send_signal(signal.SIGCONT)
         time.sleep(3.0)
         started_after = len(_decisions(log_path, "promotion_started"))
         if started_after != started_before:
@@ -565,8 +539,8 @@ def auto_main(rounds: int, log_path: Path) -> int:
                 writer.pause()
             victims = sorted(set(primaries.values()))
             for port in victims:
-                servers[port].send_signal(signal.SIGKILL)
-                servers[port].wait(timeout=30)
+                servers[port].process.send_signal(signal.SIGKILL)
+                servers[port].process.wait(timeout=30)
                 dead.add(port)
             killed_at = time.monotonic()
             alive = [port for port in ports if port not in dead]
@@ -597,7 +571,9 @@ def auto_main(rounds: int, log_path: Path) -> int:
                         f"{name}: expected {round_no} promotion(s) in the "
                         f"decision log, found {len(mine)}"
                     )
-                _verify_cut(name, winner_port, doc, roots[primaries[name]])
+                _verify_cut(
+                    name, winner_port, doc, servers[primaries[name]].data_root
+                )
                 primaries[name] = winner_port
                 # surviving standbys must be re-parented onto the winner
                 reparent_deadline = time.monotonic() + 30.0
@@ -655,23 +631,8 @@ def auto_main(rounds: int, log_path: Path) -> int:
     finally:
         for writer in writers:
             writer.stop()
-        if watchdog is not None and watchdog.poll() is None:
-            watchdog.terminate()
-            try:
-                watchdog.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                watchdog.kill()
-        for proc in servers.values():
-            if proc.poll() is None:
-                # SIGCONT first: a SIGSTOPped server cannot act on SIGTERM
-                proc.send_signal(signal.SIGCONT)
-                proc.terminate()
-        for proc in servers.values():
-            if proc.poll() is None:
-                try:
-                    proc.wait(timeout=15)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+        stop_processes(watchdog)  # before the fleet, so it promotes nothing
+        stop_processes(*(server.process for server in fleet))
         shutil.rmtree(tmp, ignore_errors=True)
 
 

@@ -20,39 +20,23 @@ service smoke gate.  Run locally with::
 
 from __future__ import annotations
 
-import subprocess
-import sys
 import time
 
+from repro.bench.runner import SubprocessServer
 from repro.cli import main as repro_main
 from repro.service import ServiceClient
 
-from _smoke import fail, free_port, wait_healthy
+from _smoke import SERVE_FLAGS, fail, wait_healthy
 
 UPDATES_PER_TENANT = 300
 TENANTS = ("alpha", "beta")
 
 
 def main() -> int:
-    port = free_port()
-    server = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            str(port),
-            "--epsilon",
-            "0.3",
-            "--mu",
-            "2",
-            "--rho",
-            "0",
-        ],
-    )
+    server = SubprocessServer(SERVE_FLAGS)
+    port = server.port
     try:
-        wait_healthy(port, timeout=15.0)
+        wait_healthy(server, timeout=15.0)
 
         # drive both tenants through the real CLI (multi-tenant load mix)
         status = repro_main(
@@ -117,11 +101,7 @@ def main() -> int:
         )
         return 0
     finally:
-        server.terminate()
-        try:
-            server.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            server.kill()
+        server.stop()
 
 
 if __name__ == "__main__":

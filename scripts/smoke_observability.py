@@ -28,30 +28,19 @@ Exits non-zero (with a diagnostic) on any violation.  Run locally with::
 
 from __future__ import annotations
 
-import subprocess
-import sys
 import tempfile
 import time
+from pathlib import Path
 
+from repro.bench.runner import SubprocessServer, stop_processes
 from repro.cli import main as repro_main
 from repro.service import ServiceClient, parse_prometheus_text
 
-from _smoke import fail, free_port, wait_healthy
+from _smoke import SERVE_FLAGS, fail, wait_healthy
 
 TENANT = "t"
 SHARDS = 4
 UPDATES = 300
-
-
-def _serve(port: int, data_root: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", str(port),
-            "--epsilon", "0.3", "--mu", "2", "--rho", "0",
-            "--data-root", data_root,
-        ],
-    )
 
 
 def _check_metrics(admin: ServiceClient) -> None:
@@ -165,13 +154,12 @@ def _check_standby_metrics(standby_admin: ServiceClient) -> None:
 
 
 def main() -> int:
-    primary_port, standby_port = free_port(), free_port()
     with tempfile.TemporaryDirectory(prefix="smoke-obs-") as root:
-        primary = _serve(primary_port, f"{root}/primary")
-        standby = _serve(standby_port, f"{root}/standby")
+        primary = SubprocessServer(SERVE_FLAGS, Path(root, "primary"))
+        standby = SubprocessServer(SERVE_FLAGS, Path(root, "standby"))
+        primary_port, standby_port = primary.port, standby.port
         try:
-            wait_healthy(primary_port, timeout=15.0)
-            wait_healthy(standby_port, timeout=15.0)
+            wait_healthy(primary, standby, timeout=15.0)
             with ServiceClient("127.0.0.1", primary_port) as admin, \
                     ServiceClient("127.0.0.1", standby_port) as standby_admin:
                 row = admin.create_tenant(TENANT, shards=SHARDS)
@@ -217,13 +205,7 @@ def main() -> int:
                 _check_tracing(admin, standby_admin)
                 _check_standby_metrics(standby_admin)
         finally:
-            for proc in (standby, primary):
-                proc.terminate()
-            for proc in (standby, primary):
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+            stop_processes(standby.process, primary.process)
     print("SMOKE OK: metrics exposition (primary + standby) + end-to-end tracing")
     return 0
 

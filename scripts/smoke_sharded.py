@@ -23,14 +23,13 @@ sharded smoke gate.  Run locally with::
 
 from __future__ import annotations
 
-import subprocess
-import sys
 import time
 
+from repro.bench.runner import SubprocessServer
 from repro.cli import main as repro_main
 from repro.service import ServiceClient
 
-from _smoke import fail, free_port, wait_healthy
+from _smoke import SERVE_FLAGS, fail, wait_healthy
 
 UPDATES = 400
 FLAT, WIDE = "flat", "wide"
@@ -60,25 +59,10 @@ def _drive(port: int, tenant: str) -> None:
 
 
 def main() -> int:
-    port = free_port()
-    server = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            str(port),
-            "--epsilon",
-            "0.3",
-            "--mu",
-            "2",
-            "--rho",
-            "0",
-        ],
-    )
+    server = SubprocessServer(SERVE_FLAGS)
+    port = server.port
     try:
-        wait_healthy(port, timeout=15.0)
+        wait_healthy(server, timeout=15.0)
         with ServiceClient("127.0.0.1", port) as admin:
             flat_row = admin.create_tenant(FLAT, shards=1)
             wide_row = admin.create_tenant(WIDE, shards=4)
@@ -190,11 +174,7 @@ def main() -> int:
         )
         return 0
     finally:
-        server.terminate()
-        try:
-            server.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            server.kill()
+        server.stop()
 
 
 if __name__ == "__main__":

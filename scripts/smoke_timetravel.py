@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import shutil
 import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
+from repro.bench.runner import SubprocessServer, stop_processes
 from repro.core.dynelm import Update
 from repro.service import ServiceClient, ServiceError
 
@@ -45,7 +45,6 @@ from _smoke import (
     WIDE,
     describe,
     fail,
-    free_port,
     groups_of,
     reference,
     start_loadgen,
@@ -57,37 +56,18 @@ CHECKPOINT_EVERY = 150
 PROBE = [f"{tenant}:{i}" for tenant in (SOLO, WIDE) for i in range(120)]
 
 
-def _serve(port: int, data_root: Path) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            str(port),
-            "--data-root",
-            str(data_root),
-            "--checkpoint-every",
-            str(CHECKPOINT_EVERY),
-            "--epsilon",
-            "0.15",
-            "--mu",
-            "2",
-            "--rho",
-            "0",
-        ],
-    )
-
-
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="timetravel-smoke-"))
     data_root = tmp / "data"
-    port = free_port()
-    server = _serve(port, data_root)
+    server = SubprocessServer(
+        ["--checkpoint-every", str(CHECKPOINT_EVERY),
+         "--epsilon", "0.15", "--mu", "2", "--rho", "0"],
+        data_root,
+    )
+    port = server.port
     loadgen: subprocess.Popen | None = None
     try:
-        wait_healthy(port, timeout=20.0)
+        wait_healthy(server, timeout=20.0)
         admin = ServiceClient("127.0.0.1", port)
         solo_client = admin.for_tenant(SOLO)
         wide_client = admin.for_tenant(WIDE)
@@ -227,13 +207,7 @@ def main() -> int:
         print("timetravel smoke passed")
         return 0
     finally:
-        for proc in (loadgen, server):
-            if proc is not None and proc.poll() is None:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=15)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+        stop_processes(loadgen, server.process)
         shutil.rmtree(tmp, ignore_errors=True)
 
 

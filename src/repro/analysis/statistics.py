@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core.labelling import EdgeLabel
 from repro.core.result import Clustering
-from repro.graph.dynamic_graph import DynamicGraph, Vertex, canonical_edge
+from repro.graph.dynamic_graph import DynamicGraph, Vertex
 
 Edge = tuple
 

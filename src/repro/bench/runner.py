@@ -3,7 +3,7 @@
 For every :class:`~repro.bench.spec.BenchSpec` the runner
 
 1. boots a **real server** for the primary — a ``python -m repro serve``
-   subprocess by default (the same plumbing the CI smokes use), or an
+   subprocess by default (the launcher the CI smokes use too), or an
    in-process :class:`~repro.service.server.BackgroundServer` with
    ``mode="inprocess"`` (the test harness path) — plus one further server
    per standby when the spec carries a replica topology (chains created
@@ -26,6 +26,7 @@ matrix run emits ``BENCH_capacity.json`` via :mod:`repro.bench.report`.
 
 from __future__ import annotations
 
+import signal
 import socket
 import subprocess
 import sys
@@ -33,7 +34,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.report import (
     build_report,
@@ -59,69 +60,80 @@ class BenchRunError(RuntimeError):
     """A spec failed to execute (server never healthy, drain timeout, ...)."""
 
 
-def _free_port() -> int:
+def free_port() -> int:
+    """A loopback TCP port that was free when this returned."""
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+#: Seconds :func:`stop_processes` gives its children to exit on SIGTERM.
+STOP_TIMEOUT_S = 15.0
+
+
+def stop_processes(*processes: Optional[subprocess.Popen]) -> None:
+    """End every live child: SIGCONT and SIGTERM to all, then wait on each.
+
+    SIGCONT first, because a SIGSTOPped child runs no SIGTERM handler until
+    it is continued.  Every child is signalled before any is waited on, so
+    a fleet stops in parallel; a child still running ``STOP_TIMEOUT_S``
+    after that is killed.  ``None`` entries and exited children are skipped.
+    """
+    live = [p for p in processes if p is not None and p.poll() is None]
+    for proc in live:
+        proc.send_signal(signal.SIGCONT)
+        proc.terminate()
+    deadline = time.monotonic() + STOP_TIMEOUT_S
+    for proc in live:
+        try:
+            proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
 
 # ----------------------------------------------------------------------
 # server handles: subprocess (default) and in-process (tests)
 # ----------------------------------------------------------------------
 class SubprocessServer:
-    """One ``python -m repro serve`` child, torn down on :meth:`stop`."""
+    """One ``python -m repro serve`` child on a free port.
+
+    The constructor starts the child and returns at once, so a caller can
+    start a fleet before it waits on any member; :meth:`wait_healthy`
+    blocks until it answers.  The child shares this process's stdout and
+    stderr.  ``process`` is the :class:`subprocess.Popen`, for callers that
+    signal the child themselves.
+    """
 
     def __init__(
-        self,
-        spec: BenchSpec,
-        data_root: Optional[Path],
-        startup_timeout: float = 30.0,
+        self, flags: Sequence[str] = (), data_root: Optional[Path] = None
     ) -> None:
-        self.port = _free_port()
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            str(self.port),
-            "--epsilon",
-            str(spec.epsilon),
-            "--mu",
-            str(spec.mu),
-            "--rho",
-            str(spec.rho),
-            "--batch-size",
-            "64",
-            "--queue-capacity",
-            str(spec.queue_capacity),
-        ]
+        self.port = free_port()
+        self.data_root = data_root
+        command = [sys.executable, "-m", "repro", "serve", "--port", str(self.port)]
+        command += flags
         if data_root is not None:
             command += ["--data-root", str(data_root)]
-        self._process = subprocess.Popen(
-            command,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        self.process = subprocess.Popen(command)
+
+    def wait_healthy(self, timeout: float = 30.0) -> None:
+        """Block until ``/v1/healthz`` answers; on a timeout stop and raise."""
         try:
             ServiceClient.wait_until_healthy(
-                "127.0.0.1", self.port, timeout=startup_timeout
+                "127.0.0.1", self.port, timeout=timeout
             )
         except RuntimeError:
             self.stop()
             raise
 
     def stop(self) -> None:
-        self._process.terminate()
-        try:
-            self._process.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
-            self._process.kill()
-            self._process.wait(timeout=10)
+        stop_processes(self.process)
 
 
 class InProcessServer:
     """A :class:`BackgroundServer` behind the same handle surface."""
+
+    process: Optional[subprocess.Popen] = None  # no child: stop_processes skips it
 
     def __init__(self, spec: BenchSpec, data_root: Optional[Path]) -> None:
         from repro.core.config import StrCluParams
@@ -148,12 +160,7 @@ class InProcessServer:
         manager.close()
 
 
-ServerFactory = Callable[[BenchSpec, Optional[Path]], object]
-
-_MODES: Dict[str, ServerFactory] = {
-    "subprocess": SubprocessServer,
-    "inprocess": InProcessServer,
-}
+_MODES = ("subprocess", "inprocess")
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +246,10 @@ class RunnerOptions:
 class _Topology:
     """Everything booted for one spec, in teardown order."""
 
-    primary: object
-    standbys: List[object] = field(default_factory=list)
+    primary: Union[SubprocessServer, InProcessServer]
+    standbys: List[Union[SubprocessServer, InProcessServer]] = field(
+        default_factory=list
+    )
     tempdir: Optional[tempfile.TemporaryDirectory] = None
 
     @property
@@ -252,9 +261,10 @@ class _Topology:
         return [f"127.0.0.1:{server.port}" for server in self.standbys]
 
     def stop(self) -> None:
-        for server in reversed(self.standbys):
+        servers = [*reversed(self.standbys), self.primary]
+        stop_processes(*(server.process for server in servers))
+        for server in servers:  # the in-process ones; a reaped child is skipped
             server.stop()
-        self.primary.stop()
         if self.tempdir is not None:
             self.tempdir.cleanup()
 
@@ -295,14 +305,31 @@ class CapacityRunner:
         return build_report(results, matrix_path=matrix_path)
 
     # -- per-spec execution --------------------------------------------
+    def _launch(
+        self, spec: BenchSpec, data_root: Optional[Path]
+    ) -> Union[SubprocessServer, InProcessServer]:
+        if self.options.mode == "inprocess":
+            return InProcessServer(spec, data_root)
+        server = SubprocessServer(
+            [
+                "--epsilon", str(spec.epsilon),
+                "--mu", str(spec.mu),
+                "--rho", str(spec.rho),
+                "--batch-size", "64",
+                "--queue-capacity", str(spec.queue_capacity),
+            ],
+            data_root,
+        )
+        server.wait_healthy()
+        return server
+
     def _boot(self, spec: BenchSpec) -> _Topology:
-        factory = _MODES[self.options.mode]
         tempdir: Optional[tempfile.TemporaryDirectory] = None
         data_root: Optional[Path] = None
         if spec.durable:
             tempdir = tempfile.TemporaryDirectory(prefix="repro-bench-")
             data_root = Path(tempdir.name)
-        primary = factory(spec, data_root / "primary" if data_root else None)
+        primary = self._launch(spec, data_root / "primary" if data_root else None)
         topology = _Topology(primary=primary, tempdir=tempdir)
         try:
             with ServiceClient("127.0.0.1", primary.port) as admin:
@@ -324,7 +351,7 @@ class CapacityRunner:
                 upstream = topology.primary_endpoint
                 for depth in range(spec.replicas.chain_depth):
                     assert data_root is not None  # durable forced by the spec
-                    standby = factory(
+                    standby = self._launch(
                         spec, data_root / f"standby-{chain}-{depth}"
                     )
                     topology.standbys.append(standby)

@@ -15,7 +15,7 @@ The algorithms are governed by four user parameters (paper Sections 2-6):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.graph.similarity import SimilarityKind

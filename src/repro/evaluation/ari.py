@@ -12,7 +12,7 @@ implements the index itself from scratch (no sklearn dependency).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Hashable, Mapping
+from typing import Hashable, Mapping
 
 Vertex = Hashable
 

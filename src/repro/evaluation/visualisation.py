@@ -12,7 +12,7 @@ into Gephi to reproduce the pictures themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.core.result import Clustering
 from repro.graph.dynamic_graph import DynamicGraph, Vertex

@@ -8,7 +8,7 @@ tables and figure series.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 
 def _format_value(value: object) -> str:

@@ -17,10 +17,8 @@ also carries the operation-count cost model from
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.hscan import IndexedDynamicSCAN
-from repro.baselines.pscan import ExactDynamicSCAN
 from repro.baselines.scan import scan_labelling, static_scan
 from repro.core.api import make_clusterer
 from repro.core.config import StrCluParams
@@ -28,7 +26,7 @@ from repro.core.dynelm import DynELM
 from repro.core.dynstrclu import DynStrClu
 from repro.core.result import compute_clusters
 from repro.evaluation.quality import quality_report
-from repro.evaluation.visualisation import cluster_density_report, epsilon_sweep_summaries
+from repro.evaluation.visualisation import epsilon_sweep_summaries
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.similarity import SimilarityKind
 from repro.instrumentation import OpCounter
@@ -37,7 +35,6 @@ from repro.workloads.datasets import (
     QUALITY_DATASETS,
     REPRESENTATIVES,
     dataset_spec,
-    load_dataset,
 )
 from repro.workloads.updates import InsertionStrategy, UpdateWorkload, generate_update_sequence
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Protocol, Sequence
 from repro.core.dynelm import Update
 from repro.graph.dynamic_graph import Vertex
 from repro.service.client import BackpressureError, ServiceClient
-from repro.service.engine import ClusteringEngine, EngineBackpressure
+from repro.service.engine import EngineBackpressure
 from repro.service.metrics import ServiceMetrics
 from repro.service.obs import new_trace_id
 from repro.service.sharding import AnyEngine

@@ -56,9 +56,6 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.dynelm import Update
 from repro.persistence.snapshot import write_durable
-# the standby-facing names of the WAL range reader, which lives beside the
-# segment listing it reads
-from repro.persistence.updatelog import WalGapError, read_wal_range  # noqa: F401
 from repro.service.client import ServiceClient, ServiceError, parse_primary_url
 from repro.service.engine import (
     SNAPSHOT_FILE,

@@ -52,14 +52,12 @@ from repro.graph.dynamic_graph import Vertex
 from repro.persistence.updatelog import (
     UpdateLogError,
     WalGapError,
-    format_vertex_token,
     parse_vertex_token,
     read_wal_range,
 )
 from repro.service.client import ServiceError, encode_update, parse_primary_url
 from repro.service.engine import (
     ClusteringEngine,
-    EngineBackpressure,
     EngineError,
     EngineFenced,
     ReadOnlyEngineError,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set
 
 from repro.core.dynelm import Update
 from repro.graph.dynamic_graph import Edge, Vertex, canonical_edge

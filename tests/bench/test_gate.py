@@ -151,20 +151,27 @@ class TestEvaluateReport:
 class TestMigratedCiDecisions:
     """The gate must reproduce every decision the old inline asserts made."""
 
-    def test_service_throughput(self):
+    def test_capacity_ingest_and_queries(self):
+        # every capacity spec must ingest (> 0 updates/s) and query (> 0)
         floors = load_floors(FLOORS_PATH)
-        good = {
-            "benchmark": "service_throughput",
-            "ingest": {"updates_per_second": 1234.5},
-            "query": {"requests": 200},
-        }
-        assert all(r.ok for r in evaluate_report(good, floors, "r"))
-        dead = {
-            "benchmark": "service_throughput",
-            "ingest": {"updates_per_second": 0},
-            "query": {"requests": 200},
-        }
-        assert any(not r.ok for r in evaluate_report(dead, floors, "r"))
+
+        def report(achieved, queries):
+            spec = {
+                "ingest": {
+                    "achieved_updates_per_second": achieved,
+                    "updates_rejected": 0,
+                },
+                "query": {"count": queries},
+            }
+            return {
+                "benchmark": "capacity_matrix",
+                "host": {"cpu_count": 2},
+                "specs": [spec],
+            }
+
+        assert all(r.ok for r in evaluate_report(report(1234.5, 21), floors, "r"))
+        assert any(not r.ok for r in evaluate_report(report(0, 21), floors, "r"))
+        assert any(not r.ok for r in evaluate_report(report(1234.5, 0), floors, "r"))
 
     def test_view_capture(self):
         floors = load_floors(FLOORS_PATH)

@@ -162,7 +162,9 @@ class TestLoadMatrix:
     def test_committed_matrices_expand(self):
         bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
         ci = load_matrix(bench_dir / "capacity_matrix_ci.json")
-        assert {s.name for s in ci} == {"shard1", "shard4", "chain1"}
+        assert {s.name for s in ci} == {"shard1", "shard4", "chain1", "approx1"}
+        # approx1 is the one served approximate-mode ingest any CI gate runs
+        assert [s.rho for s in ci if s.name == "approx1"] == [0.5]
         full = load_matrix(bench_dir / "capacity_matrix.json")
         assert len(full) == 9
         assert all(s.saturation_search for s in full)

@@ -29,11 +29,8 @@ from repro.service import (
     ServiceError,
     StandbyEngine,
 )
-from repro.service.replication import (
-    WalGapError,
-    parse_primary_url,
-    read_wal_range,
-)
+from repro.persistence.updatelog import WalGapError, read_wal_range
+from repro.service.replication import parse_primary_url
 
 PARAMS = StrCluParams(epsilon=0.5, mu=2, rho=0.0)
 FAST = EngineConfig(batch_size=8)
